@@ -1,10 +1,4 @@
-"""Kernel backend selection and seeded RNG streams.
-
-The env var HEIS_KERNELS picks the kernel lane:
-
-* unset or "auto": numba JIT when importable, pure numpy otherwise
-* "numba": require numba, fail loudly if missing
-* "numpy": never import numba, use the fallback lane
+"""Seeded RNG streams.
 
 Random streams are counter-based (Philox): every unit of work (solver
 restart, rounding trial, search restart) draws from a generator that is a
@@ -14,41 +8,7 @@ concurrently and still reproduce bitwise.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_choice = os.environ.get("HEIS_KERNELS", "auto").strip().lower()
-if _choice not in ("auto", "", "numba", "numpy"):
-    raise RuntimeError(
-        f"HEIS_KERNELS={_choice!r} not understood; use 'auto', 'numba' or 'numpy'"
-    )
-
-HAS_NUMBA = False
-if _choice != "numpy":
-    try:
-        import numba  # noqa: F401
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-        numba = None
-else:
-    numba = None
-
-USE_NUMBA = HAS_NUMBA and _choice != "numpy"
-
-
-def maybe_jit(**kwargs):
-    """Decorator: numba.njit(cache=True, **kwargs) on the JIT lane, no-op otherwise."""
-
-    def wrap(fn):
-        if USE_NUMBA:
-            return numba.njit(cache=True, **kwargs)(fn)
-        return fn
-
-    return wrap
 
 
 # Stream domains. Keeping them distinct means a pipeline can reuse one user

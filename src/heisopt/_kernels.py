@@ -1,9 +1,7 @@
-"""Hot numerical kernels, in two lanes.
+"""Hot numerical kernels, vectorized with numpy.
 
-Loop kernels are nopython-compatible and get numba.njit(cache=True) on the
-JIT lane; the numpy lane replaces them with vectorized equivalents (or the
-same plain-python loop where the recurrence is inherently sequential).
-Dispatch names at the bottom are what the rest of the package imports.
+Sequential recurrences (block coordinate ascent, the 2F1 series) keep their
+loop in Python.
 
 Shared array conventions:
   V    (n, 3, 3n) float64, V[i, k] is the Gram vector of Pauli axis k on qubit i
@@ -18,46 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import USE_NUMBA, maybe_jit
-
 
 # ---------------------------------------------------------------- objectives
 
 
-@maybe_jit()
-def objective_loop(V, ei, ej, wc3, wsum):
+def sdp_objective_kernel(V, ei, ej, wc3, wsum):
     """sum_e w*(1 - alpha<v_i1,v_j1> - beta<v_i2,v_j2> - gamma<v_i3,v_j3>)."""
-    D = V.shape[2]
-    obj = wsum
-    for e in range(ei.shape[0]):
-        i = ei[e]
-        j = ej[e]
-        for k in range(3):
-            dot = 0.0
-            for d in range(D):
-                dot += V[i, k, d] * V[j, k, d]
-            obj -= wc3[e, k] * dot
-    return obj
-
-
-def objective_numpy(V, ei, ej, wc3, wsum):
     if ei.shape[0] == 0:
         return wsum
     return wsum - np.einsum("ek,ekd,ekd->", wc3, V[ei], V[ej])
 
 
-@maybe_jit()
-def product_energy_loop(B, ei, ej, wc3, wsum):
-    obj = wsum
-    for e in range(ei.shape[0]):
-        i = ei[e]
-        j = ej[e]
-        for k in range(3):
-            obj -= wc3[e, k] * B[i, k] * B[j, k]
-    return obj
-
-
-def product_energy_numpy(B, ei, ej, wc3, wsum):
+def product_energy_kernel(B, ei, ej, wc3, wsum):
     if ei.shape[0] == 0:
         return wsum
     return wsum - np.einsum("ek,ek->", wc3, B[ei] * B[ej])
@@ -70,61 +40,9 @@ def product_energy_numpy(B, ei, ej, wc3, wsum):
 # QR of C followed by SVD of the 3x3 R factor (orthogonal Procrustes).
 
 
-@maybe_jit(nogil=True)
-def sdp_sweeps_loop(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
+def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     n = V.shape[0]
-    D = V.shape[2]
-    C = np.empty((D, 3))
-    obj = objective_loop(V, ei, ej, wc3, wsum)
-    sweeps = 0
-    last_rel = np.inf
-    converged = False
-    monotone = True
-    while sweeps < max_sweeps:
-        for i in range(n):
-            p0 = nptr[i]
-            p1 = nptr[i + 1]
-            if p0 == p1:
-                continue
-            for d in range(D):
-                C[d, 0] = 0.0
-                C[d, 1] = 0.0
-                C[d, 2] = 0.0
-            for p in range(p0, p1):
-                j = nother[p]
-                f0 = fac[p, 0]
-                f1 = fac[p, 1]
-                f2 = fac[p, 2]
-                for d in range(D):
-                    C[d, 0] += f0 * V[j, 0, d]
-                    C[d, 1] += f1 * V[j, 1, d]
-                    C[d, 2] += f2 * V[j, 2, d]
-            nrm = 0.0
-            for d in range(D):
-                nrm += C[d, 0] * C[d, 0] + C[d, 1] * C[d, 1] + C[d, 2] * C[d, 2]
-            if nrm == 0.0:
-                continue
-            Q, R = np.linalg.qr(C)
-            U3, _, Vt3 = np.linalg.svd(R)
-            W = np.ascontiguousarray(Q) @ (U3 @ Vt3)
-            for k in range(3):
-                for d in range(D):
-                    V[i, k, d] = W[d, k]
-        new = objective_loop(V, ei, ej, wc3, wsum)
-        sweeps += 1
-        if new < obj - 1e-8 * (1.0 + abs(obj)):
-            monotone = False
-        last_rel = (new - obj) / max(1.0, abs(new))
-        obj = new
-        if last_rel < tol:
-            converged = True
-            break
-    return obj, sweeps, last_rel, converged, monotone
-
-
-def sdp_sweeps_numpy(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
-    n = V.shape[0]
-    obj = objective_numpy(V, ei, ej, wc3, wsum)
+    obj = sdp_objective_kernel(V, ei, ej, wc3, wsum)
     sweeps = 0
     last_rel = np.inf
     converged = False
@@ -141,7 +59,7 @@ def sdp_sweeps_numpy(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
             Q, R = np.linalg.qr(C)
             U3, _, Vt3 = np.linalg.svd(R)
             V[i] = (Q @ (U3 @ Vt3)).T
-        new = objective_numpy(V, ei, ej, wc3, wsum)
+        new = sdp_objective_kernel(V, ei, ej, wc3, wsum)
         sweeps += 1
         if new < obj - 1e-8 * (1.0 + abs(obj)):
             monotone = False
@@ -159,40 +77,9 @@ def sdp_sweeps_numpy(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
 # optimum is the normalized coefficient vector.
 
 
-@maybe_jit(nogil=True)
-def ascent_sweeps_loop(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
+def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     n = B.shape[0]
-    energy = product_energy_loop(B, ei, ej, wc3, wsum)
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        for i in range(n):
-            c0 = 0.0
-            c1 = 0.0
-            c2 = 0.0
-            for p in range(nptr[i], nptr[i + 1]):
-                j = nother[p]
-                c0 += fac[p, 0] * B[j, 0]
-                c1 += fac[p, 1] * B[j, 1]
-                c2 += fac[p, 2] * B[j, 2]
-            nc = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-            if nc > 0.0:
-                B[i, 0] = c0 / nc
-                B[i, 1] = c1 / nc
-                B[i, 2] = c2 / nc
-        new = product_energy_loop(B, ei, ej, wc3, wsum)
-        sweeps += 1
-        gain = new - energy
-        energy = new
-        if gain < tol:
-            converged = True
-            break
-    return energy, sweeps, converged
-
-
-def ascent_sweeps_numpy(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
-    n = B.shape[0]
-    energy = product_energy_numpy(B, ei, ej, wc3, wsum)
+    energy = product_energy_kernel(B, ei, ej, wc3, wsum)
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -205,7 +92,7 @@ def ascent_sweeps_numpy(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol
             nc = np.sqrt(c @ c)
             if nc > 0.0:
                 B[i] = c / nc
-        new = product_energy_numpy(B, ei, ej, wc3, wsum)
+        new = product_energy_kernel(B, ei, ej, wc3, wsum)
         sweeps += 1
         gain = new - energy
         energy = new
@@ -222,7 +109,6 @@ def ascent_sweeps_numpy(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol
 # T_k is bounded by T_k z/(1-z); the caller special-cases z = 1.
 
 
-@maybe_jit()
 def hyp_series(c, z, tol, cap):
     s = 1.0
     comp = 0.0
@@ -251,31 +137,7 @@ def hyp_series(c, z, tol, cap):
 # ZZ is diagonal, so the whole operator is real.
 
 
-@maybe_jit(nogil=True)
-def apply_edges_loop(psi, out, mi, mj, wc3, ident):
-    size = psi.shape[0]
-    for s in range(size):
-        out[s] = ident * psi[s]
-    for e in range(mi.shape[0]):
-        ma = mi[e]
-        mb = mj[e]
-        mask = ma | mb
-        fxx = -wc3[e, 0]
-        fyy = -wc3[e, 1]
-        fzz = -wc3[e, 2]
-        if fxx == 0.0 and fyy == 0.0:
-            if fzz != 0.0:
-                for s in range(size):
-                    zz = 1.0 if ((s & ma) == 0) == ((s & mb) == 0) else -1.0
-                    out[s] += fzz * zz * psi[s]
-        else:
-            for s in range(size):
-                zz = 1.0 if ((s & ma) == 0) == ((s & mb) == 0) else -1.0
-                out[s] += fzz * zz * psi[s]
-                out[s ^ mask] += (fxx - fyy * zz) * psi[s]
-
-
-def apply_edges_numpy(psi, out, mi, mj, wc3, ident):
+def apply_edges(psi, out, mi, mj, wc3, ident):
     size = psi.shape[0]
     s = np.arange(size, dtype=np.int64)
     np.multiply(ident, psi, out=out)
@@ -298,22 +160,7 @@ def apply_edges_numpy(psi, out, mi, mj, wc3, ident):
 # maximum over basis states is exact (residual 0).
 
 
-@maybe_jit(nogil=True)
-def diag_extreme_loop(size, mi, mj, wz, base):
-    best = -np.inf
-    arg = 0
-    for s in range(size):
-        val = base
-        for e in range(mi.shape[0]):
-            zz = 1.0 if ((s & mi[e]) == 0) == ((s & mj[e]) == 0) else -1.0
-            val += wz[e] * zz
-        if val > best:
-            best = val
-            arg = s
-    return best, arg
-
-
-def diag_extreme_numpy(size, mi, mj, wz, base):
+def diag_extreme(size, mi, mj, wz, base):
     s = np.arange(size, dtype=np.int64)
     val = np.full(size, base)
     for e in range(mi.shape[0]):
@@ -321,21 +168,3 @@ def diag_extreme_numpy(size, mi, mj, wz, base):
         val += wz[e] * zz
     arg = int(np.argmax(val))
     return float(val[arg]), arg
-
-
-# ------------------------------------------------------------------- dispatch
-
-if USE_NUMBA:
-    sdp_objective_kernel = objective_loop
-    product_energy_kernel = product_energy_loop
-    sdp_sweeps = sdp_sweeps_loop
-    ascent_sweeps = ascent_sweeps_loop
-    apply_edges = apply_edges_loop
-    diag_extreme = diag_extreme_loop
-else:
-    sdp_objective_kernel = objective_numpy
-    product_energy_kernel = product_energy_numpy
-    sdp_sweeps = sdp_sweeps_numpy
-    ascent_sweeps = ascent_sweeps_numpy
-    apply_edges = apply_edges_numpy
-    diag_extreme = diag_extreme_numpy

@@ -1,15 +1,16 @@
 """Exact and heuristic reference values for small instances.
 
-Three eigenvalue routes, picked by size and structure:
+Three eigenvalue routes, picked by size and structure and reported as
+ExactResult.method:
 
-  * diagonal   - every edge has alpha = beta = 0, so the Hamiltonian is
-                 diagonal in the computational basis; scan 2^n diagonal
-                 entries without forming a matrix.
-  * full dense - build the 2^n x 2^n matrix and call a symmetric
-                 eigensolver (n up to dense_limit).
-  * power      - matrix-free shifted power iteration on H + cI with c
-                 large enough to make the spectrum nonnegative (n up to
-                 power_limit).
+  * diagonal        - every edge has alpha = beta = 0, so the Hamiltonian
+                      is diagonal in the computational basis; scan 2^n
+                      diagonal entries without forming a matrix.
+  * full_dense      - build the 2^n x 2^n matrix and call a symmetric
+                      eigensolver (n up to dense_limit).
+  * power_iteration - matrix-free shifted power iteration on H + cI with c
+                      large enough to make the spectrum nonnegative (n up
+                      to power_limit).
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
 used both as a reference point and as the solver's warm start.
@@ -106,7 +107,7 @@ def exact_max_eigenvalue(
         raise ValueError(f"unknown oracle method {method!r}")
 
     if inst.n <= power_limit and _is_diagonal(inst) and method in ("auto", "full_dense"):
-        return ExactResult(lambda_max=_diag_max(inst), method="full_dense", residual=0.0)
+        return ExactResult(lambda_max=_diag_max(inst), method="diagonal", residual=0.0)
 
     if method in ("auto", "full_dense") and inst.n <= dense_limit:
         H = build_dense(inst, dense_limit=dense_limit).entries

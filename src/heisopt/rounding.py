@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import DOMAIN_ROUNDING, rng_for
-from ._kernels import product_energy_numpy
+from ._kernels import product_energy_kernel
 from .instance import Edge, Instance, is_family_uniform
 from .moment_sdp import MomentSolution
 from .pauli import ProductState
@@ -154,7 +154,7 @@ def bfv_round(
             norms = np.linalg.norm(Y, axis=0)
         bloch = np.zeros((inst.n, 3))
         bloch[:, active] = (Y / norms).T
-        return float(product_energy_numpy(bloch, ei, ej, wc3, ident)), bloch
+        return float(product_energy_kernel(bloch, ei, ej, wc3, ident)), bloch
 
     energies, best_bloch = _run_trials(trials, seed, threads, one_trial)
     return RoundingOutcome(
@@ -197,7 +197,7 @@ def gw_axis_round(
         signs = np.where(d < 0.0, -1.0, 1.0)  # zero projections round up
         bloch = np.zeros((inst.n, 3))
         bloch[:, a_star] = signs
-        return float(product_energy_numpy(bloch, ei, ej, wc3, ident)), bloch
+        return float(product_energy_kernel(bloch, ei, ej, wc3, ident)), bloch
 
     energies, best_bloch = _run_trials(trials, seed, threads, one_trial)
     return RoundingOutcome(

@@ -61,7 +61,11 @@ def brute_force_max_cut(n, edges):
 
 
 def random_instance(rng, n=None, coeffs="arbitrary", weights="uniform", p=0.5):
-    """Small random instance; coeffs in {'arbitrary', 'corner', 'family'}."""
+    """Small random instance; coeffs in {'arbitrary', 'corner', 'family', 'zz'}.
+
+    'zz' draws alpha = beta = 0 and gamma uniform in [-1, 1] (mixed signs), so
+    the Hamiltonian is diagonal.
+    """
     from heisopt import Edge, Instance
 
     if n is None:
@@ -79,6 +83,8 @@ def random_instance(rng, n=None, coeffs="arbitrary", weights="uniform", p=0.5):
         w = 1.0 if weights == "unit" else float(rng.uniform(0.1, 1.0))
         if coeffs == "arbitrary":
             a, b, g = (float(x) for x in rng.uniform(-1, 1, 3))
+        elif coeffs == "zz":
+            a, b, g = 0.0, 0.0, float(rng.uniform(-1, 1))
         elif coeffs == "corner":
             a, b, g = (float(x) for x in rng.choice([-1.0, 1.0], 3))
         else:

@@ -1,141 +1,8 @@
-"""Agreement between the jit kernels and the pure-numpy fallbacks.
-
-Both lanes are imported directly (the env flag only controls dispatch), so
-one test process can compare them on identical inputs.
-"""
-
-import os
-import subprocess
-import sys
+"""Counter-based RNG streams from heisopt._backend."""
 
 import numpy as np
-import pytest
 
-from conftest import random_instance
-
-from heisopt import _kernels as K
-from heisopt._backend import HAS_NUMBA, rng_for
-
-
-def fresh_vectors(n, rng):
-    V = np.empty((n, 3, 3 * n))
-    for i in range(n):
-        Q, _ = np.linalg.qr(rng.standard_normal((3 * n, 3)))
-        V[i] = Q.T
-    return V
-
-
-def test_objective_lanes_agree(rng):
-    for _ in range(20):
-        inst = random_instance(rng)
-        ei, ej, w, wc3 = inst.arrays()
-        V = fresh_vectors(inst.n, rng)
-        a = K.objective_loop(V, ei, ej, wc3, float(w.sum()))
-        b = K.objective_numpy(V, ei, ej, wc3, float(w.sum()))
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_product_energy_lanes_agree(rng):
-    for _ in range(20):
-        inst = random_instance(rng)
-        ei, ej, w, wc3 = inst.arrays()
-        B = rng.standard_normal((inst.n, 3))
-        B /= np.linalg.norm(B, axis=1)[:, None]
-        a = K.product_energy_loop(B, ei, ej, wc3, float(w.sum()))
-        b = K.product_energy_numpy(B, ei, ej, wc3, float(w.sum()))
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_sweep_lanes_agree(rng):
-    for _ in range(10):
-        inst = random_instance(rng, n=int(rng.integers(2, 7)))
-        ei, ej, w, wc3 = inst.arrays()
-        nptr, nother, fac = inst.incidence()
-        wsum = float(w.sum())
-        V0 = fresh_vectors(inst.n, rng)
-        out_a = K.sdp_sweeps_loop(V0.copy(), nptr, nother, fac, ei, ej, wc3, wsum, 200, 1e-10)
-        out_b = K.sdp_sweeps_numpy(V0.copy(), nptr, nother, fac, ei, ej, wc3, wsum, 200, 1e-10)
-        assert out_a[0] == pytest.approx(out_b[0], rel=1e-9)
-        assert out_a[3] == out_b[3]  # both converged (or both not)
-
-
-def test_ascent_lanes_agree(rng):
-    for _ in range(10):
-        inst = random_instance(rng)
-        ei, ej, w, wc3 = inst.arrays()
-        nptr, nother, fac = inst.incidence()
-        ident = float(w.sum())
-        B0 = rng.standard_normal((inst.n, 3))
-        B0 /= np.linalg.norm(B0, axis=1)[:, None]
-        a = K.ascent_sweeps_loop(B0.copy(), nptr, nother, fac, ei, ej, wc3, ident, 500, 1e-12)
-        b = K.ascent_sweeps_numpy(B0.copy(), nptr, nother, fac, ei, ej, wc3, ident, 500, 1e-12)
-        assert a[0] == pytest.approx(b[0], rel=1e-9)
-
-
-def test_apply_edges_lanes_agree(rng):
-    for _ in range(10):
-        inst = random_instance(rng, n=int(rng.integers(2, 9)))
-        ei, ej, w, wc3 = inst.arrays()
-        mi = (np.int64(1) << (inst.n - 1 - ei)).astype(np.int64)
-        mj = (np.int64(1) << (inst.n - 1 - ej)).astype(np.int64)
-        size = 1 << inst.n
-        psi = rng.standard_normal(size)
-        out_a = np.empty(size)
-        out_b = np.empty(size)
-        K.apply_edges_loop(psi, out_a, mi, mj, wc3, float(w.sum()))
-        K.apply_edges_numpy(psi, out_b, mi, mj, wc3, float(w.sum()))
-        assert np.abs(out_a - out_b).max() < 1e-12 * max(1.0, np.abs(out_a).max())
-
-
-def test_diag_extreme_lanes_agree(rng):
-    for _ in range(10):
-        inst = random_instance(rng, n=int(rng.integers(2, 10)))
-        ei, ej, w, wc3 = inst.arrays()
-        mi = (np.int64(1) << (inst.n - 1 - ei)).astype(np.int64)
-        mj = (np.int64(1) << (inst.n - 1 - ej)).astype(np.int64)
-        wz = np.ascontiguousarray(-wc3[:, 2])
-        a_val, a_arg = K.diag_extreme_loop(1 << inst.n, mi, mj, wz, float(w.sum()))
-        b_val, b_arg = K.diag_extreme_numpy(1 << inst.n, mi, mj, wz, float(w.sum()))
-        assert a_val == pytest.approx(b_val, rel=1e-12)
-        assert a_arg == b_arg
-
-
-def test_env_flag_selects_lane():
-    code = (
-        "import heisopt._backend as b; print(b.USE_NUMBA)"
-    )
-    env = dict(os.environ)
-    env["HEIS_KERNELS"] = "numpy"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.stdout.strip() == "False"
-    if HAS_NUMBA:
-        env["HEIS_KERNELS"] = "numba"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert res.stdout.strip() == "True"
-    env["HEIS_KERNELS"] = "bogus"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.returncode != 0
-
-
-def test_full_solve_agrees_across_lanes(rng):
-    # end-to-end: the solver value must match between lanes on the same seed
-    code = """
-import numpy as np
-from heisopt import Edge, Instance, SolverConfig, solve_moment_sdp
-edges = (Edge(0,1,1.0,1,1,1), Edge(1,2,0.7,1,1,1), Edge(0,2,0.4,1,1,1))
-inst = Instance(n=3, edges=edges)
-sol = solve_moment_sdp(inst, SolverConfig(restarts=3, seed=0))
-print(repr(sol.value))
-"""
-    vals = {}
-    for lane in ("numpy", "numba") if HAS_NUMBA else ("numpy",):
-        env = dict(os.environ)
-        env["HEIS_KERNELS"] = lane
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert res.returncode == 0, res.stderr
-        vals[lane] = float(res.stdout.strip())
-    if HAS_NUMBA:
-        assert vals["numpy"] == pytest.approx(vals["numba"], rel=1e-9)
+from heisopt._backend import rng_for
 
 
 def test_philox_streams_are_domain_separated():

@@ -5,12 +5,17 @@ import sys
 
 import pytest
 
+import heisopt
 from heisopt.cli import main, reproduce_constants
+
+# The child interpreter imports the same heisopt as this process.
+_PKG_ROOT = os.path.dirname(os.path.dirname(heisopt.__file__))
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("HEIS_DEFAULT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_PKG_ROOT, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

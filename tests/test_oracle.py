@@ -33,11 +33,13 @@ def test_triangle_f001_is_twice_max_cut():
 
 
 def test_matches_kron_reference(rng):
-    for _ in range(30):
-        inst = random_instance(rng, n=int(rng.integers(2, 7)))
-        lam = exact_max_eigenvalue(inst).lambda_max
+    for coeffs in ("arbitrary",) * 30 + ("zz",) * 10:
+        inst = random_instance(rng, n=int(rng.integers(2, 7)), coeffs=coeffs)
+        res = exact_max_eigenvalue(inst)
         want = float(np.linalg.eigvalsh(dense_reference(inst))[-1])
-        assert lam == pytest.approx(want, abs=1e-10)
+        assert res.lambda_max == pytest.approx(want, abs=1e-10)
+        if coeffs == "zz":
+            assert res.method == "diagonal"
 
 
 def test_residual_certificate(rng):
@@ -83,7 +85,7 @@ def test_diagonal_fast_path_larger_than_dense_limit():
     edges = tuple(Edge(i, i + 1, 0.625, 0, 0, 1) for i in range(15))
     inst = Instance(n=16, edges=edges)
     res = exact_max_eigenvalue(inst)
-    assert res.method == "full_dense"
+    assert res.method == "diagonal"
     assert res.residual == 0.0
     assert res.lambda_max == pytest.approx(2 * 0.625 * 15, abs=1e-12)  # path is bipartite
 
