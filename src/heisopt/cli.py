@@ -123,7 +123,7 @@ def run_pipeline(
     oracle: bool = False,
 ) -> RatioReport:
     """Solve the relaxation, round it, optionally attach exact references."""
-    cfg = SolverConfig(restarts=restarts, seed=seed, threads=threads)
+    cfg = SolverConfig(restarts=restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     rounder = bfv_round if scheme == "bfv" else gw_axis_round
     outcome = rounder(inst, sol, trials=trials, seed=seed, threads=threads)
@@ -211,7 +211,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     seed = _default_seed(args.seed)
     inst = parse_instance_file(args.instance)
-    cfg = SolverConfig(restarts=args.restarts, seed=seed, threads=args.threads)
+    cfg = SolverConfig(restarts=args.restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     _write(args.out, serialize_moment_solution(sol))
     feas = check_feasibility(sol)
@@ -323,7 +323,7 @@ def _add_common(p, *, seed=True, out=True, threads=False, restarts=None):
     if out:
         p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     if threads:
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="thread pool size for rounding trials")
     if restarts is not None:
         p.add_argument("--restarts", type=int, default=restarts)
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the moment relaxation")
     p.add_argument("instance")
-    _add_common(p, threads=True, restarts=5)
+    _add_common(p, restarts=5)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("round", help="round a saved solution to a product state")

@@ -22,7 +22,6 @@ always dominates that product state's energy.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +50,14 @@ class SolverConfig:
     sweep_tolerance: float = 1e-10
     max_sweeps: int = 10000
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if not self.sweep_tolerance > 0:
             raise ValueError("sweep_tolerance must be positive")
-        if self.max_sweeps < 1 or self.threads < 1:
-            raise ValueError("max_sweeps and threads must be positive")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,11 +152,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
         return float(obj), int(sweeps), float(rel), bool(converged), V
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, inits))
-    else:
-        results = [run(V) for V in inits]
+    results = [run(V) for V in inits]
 
     best_idx = 0
     for idx in range(1, len(results)):

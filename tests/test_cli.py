@@ -66,7 +66,7 @@ def test_exact_subcommand(tmp_path, cycle_file):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["lambda_max"] == pytest.approx(12.472135955, abs=1e-6)
-    assert payload["method"] == "full_dense"
+    assert payload["method"] == "lanczos"
     assert payload["best_product_energy"] <= payload["lambda_max"] + 1e-9
 
 

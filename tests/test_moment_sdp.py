@@ -87,16 +87,6 @@ def test_deterministic_given_seed():
     assert np.array_equal(s1.vectors, s2.vectors)
 
 
-def test_threads_do_not_change_result():
-    inst = Instance(
-        n=5, edges=tuple(Edge(i, j, 1.0, 1, 1, 1) for i in range(5) for j in range(i + 1, 5))
-    )
-    s1 = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=2, threads=1))
-    s4 = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=2, threads=4))
-    assert s1.value == s4.value
-    assert np.array_equal(s1.vectors, s4.vectors)
-
-
 def test_offset_shifts_value():
     base = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
     shifted = Instance(n=2, edges=base.edges, offset=3.0)

@@ -22,6 +22,9 @@ def test_known_single_edge_values():
     assert exact_max_eigenvalue(f001).lambda_max == pytest.approx(2.0, abs=1e-12)
     f110 = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
     assert exact_max_eigenvalue(f110).lambda_max == pytest.approx(3.0, abs=1e-12)
+    # a negative offset puts lambda_max below zero
+    shifted = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),), offset=-10.0)
+    assert exact_max_eigenvalue(shifted).lambda_max == pytest.approx(-6.0, abs=1e-12)
 
 
 def test_triangle_f001_is_twice_max_cut():
@@ -34,7 +37,7 @@ def test_triangle_f001_is_twice_max_cut():
 
 def test_matches_kron_reference(rng):
     for coeffs in ("arbitrary",) * 30 + ("zz",) * 10:
-        inst = random_instance(rng, n=int(rng.integers(2, 7)), coeffs=coeffs)
+        inst = random_instance(rng, n=int(rng.integers(2, 10)), coeffs=coeffs)
         res = exact_max_eigenvalue(inst)
         want = float(np.linalg.eigvalsh(dense_reference(inst))[-1])
         assert res.lambda_max == pytest.approx(want, abs=1e-10)
@@ -49,39 +52,31 @@ def test_residual_certificate(rng):
         assert res.residual < 1e-8 * (1.0 + abs(res.lambda_max))
 
 
-def test_dense_and_power_agree(rng):
-    for _ in range(25):
-        inst = random_instance(rng, n=int(rng.integers(2, 9)))
-        d = exact_max_eigenvalue(inst, method="full_dense")
-        p = exact_max_eigenvalue(inst, method="power_iteration")
-        assert d.method == "full_dense"
-        assert p.method == "power_iteration"
-        assert abs(d.lambda_max - p.lambda_max) < 1e-7
-
-
-def test_power_handles_offset_and_degeneracy():
-    # negative offset shifts lambda_max below zero; power must still converge
-    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),), offset=-10.0)
-    p = exact_max_eigenvalue(inst, method="power_iteration")
-    assert p.lambda_max == pytest.approx(-6.0, abs=1e-7)
-
-
 def test_size_limits():
     big = Instance(n=21, edges=(Edge(0, 20, 1.0, 1, 1, 1),))
     with pytest.raises(OracleLimitError):
         exact_max_eigenvalue(big)
     mid = Instance(n=15, edges=(Edge(0, 14, 1.0, 1, 1, 1),))
-    with pytest.raises(OracleLimitError):
-        exact_max_eigenvalue(mid, method="full_dense")
-    res = exact_max_eigenvalue(mid)  # auto falls through to power iteration
-    assert res.method == "power_iteration"
+    res = exact_max_eigenvalue(mid)
+    assert res.method == "lanczos"
     assert res.lambda_max == pytest.approx(4.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        exact_max_eigenvalue(big, method="lanczos")
+
+
+def test_lanczos_on_disjoint_mixed_edges_at_16_qubits(rng):
+    # disjoint edges commute, so lambda_max is the sum of the edges' maxima
+    edges, want = [], 0.0
+    for e in range(8):
+        w = float(rng.uniform(0.1, 1.0))
+        a, b, g = (float(x) for x in rng.uniform(-1, 1, 3))
+        edges.append(Edge(2 * e, 2 * e + 1, w, a, b, g))
+        want += w * (1.0 + edge_opt(-a, -b, -g))
+    res = exact_max_eigenvalue(Instance(n=16, edges=tuple(edges)))
+    assert res.method == "lanczos"
+    assert res.lambda_max == pytest.approx(want, abs=1e-9)
 
 
 def test_diagonal_fast_path_larger_than_dense_limit():
-    # pure-Z instance at n=16 exceeds the dense limit but stays exact
+    # pure-Z instance at n=16 takes the diagonal scan and stays exact
     edges = tuple(Edge(i, i + 1, 0.625, 0, 0, 1) for i in range(15))
     inst = Instance(n=16, edges=edges)
     res = exact_max_eigenvalue(inst)
