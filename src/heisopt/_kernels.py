@@ -10,6 +10,10 @@ Shared array conventions:
   fac  (2m, 3) float64 incidence factors, fac[p, k] = -w_e * coeff_k(e) for the
        edge behind incidence slot p (see instance.incidence)
   nptr (n+1,) int64 / nother (2m,) int64  CSR-style incidence lists
+
+The two ascents take a leading restart axis instead: V (R, n, 3, 3n) and
+B (R, n, 3), updated in place. All restarts sweep in lock-step; each stops on
+its own rule and is frozen from then on.
 """
 
 from __future__ import annotations
@@ -38,36 +42,75 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # Block update for qubit i: maximize tr(Vi^T C) over 3n x 3 orthonormal frames
 # Vi, with C the coupling matrix gathered from the neighbors. Solved by thin
 # QR of C followed by SVD of the 3x3 R factor (orthogonal Procrustes).
+#
+# Both ascents run every restart in lock-step: one pass over the qubits
+# updates qubit i of all still-active restarts with one einsum (and, for the
+# relaxation, one stacked QR and one stacked SVD). After each sweep every
+# restart applies its own stop rule; a stopped restart is written back and
+# frozen, and later sweeps run on the remaining ones only.
+
+
+def _neighbourhoods(nptr, nother, fac):
+    """(i, neighbour indices, incidence factors) for every qubit with an edge."""
+    return [
+        (i, nother[nptr[i] : nptr[i + 1]], fac[nptr[i] : nptr[i + 1]])
+        for i in range(nptr.shape[0] - 1)
+        if nptr[i + 1] > nptr[i]
+    ]
 
 
 def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
-    n = V.shape[0]
-    obj = sdp_objective_kernel(V, ei, ej, wc3, wsum)
-    sweeps = 0
-    last_rel = np.inf
-    converged = False
-    monotone = True
-    while sweeps < max_sweeps:
-        for i in range(n):
-            sl = slice(nptr[i], nptr[i + 1])
-            others = nother[sl]
-            if others.shape[0] == 0:
-                continue
-            C = np.einsum("pk,pkd->dk", fac[sl], V[others])
-            if not C.any():
-                continue
-            Q, R = np.linalg.qr(C)
-            U3, _, Vt3 = np.linalg.svd(R)
-            V[i] = (Q @ (U3 @ Vt3)).T
-        new = sdp_objective_kernel(V, ei, ej, wc3, wsum)
-        sweeps += 1
-        if new < obj - 1e-8 * (1.0 + abs(obj)):
-            monotone = False
-        last_rel = (new - obj) / max(1.0, abs(new))
-        obj = new
-        if last_rel < tol:
-            converged = True
-            break
+    """Ascend every restart of V (R, n, 3, 3n) in place.
+
+    Returns per-restart arrays (obj, sweeps, last_rel, converged, monotone).
+    The objective is evaluated restart by restart into two reused (m, 3, 3n)
+    gather buffers: gathering V[:, ei] at once would hold an (R, m, 3, 3n)
+    temporary, and fresh buffers per call cost more than the arithmetic.
+    """
+    R = V.shape[0]
+    nbrs = _neighbourhoods(nptr, nother, fac)
+    gi = np.empty((ei.shape[0],) + V.shape[2:])
+    gj = np.empty_like(gi)
+    wflat = wc3.ravel()
+
+    def objectives(W):
+        out = np.empty(W.shape[0])
+        for r in range(W.shape[0]):
+            # mode="clip" lets take write into out= without an extra buffer
+            np.take(W[r], ei, axis=0, out=gi, mode="clip")
+            np.take(W[r], ej, axis=0, out=gj, mode="clip")
+            out[r] = wsum - wflat @ np.einsum("ekd,ekd->ek", gi, gj).ravel()
+        return out
+
+    obj = objectives(V)
+    sweeps = np.zeros(R, dtype=np.int64)
+    last_rel = np.full(R, np.inf)
+    converged = np.zeros(R, dtype=bool)
+    monotone = np.ones(R, dtype=bool)
+    act = np.arange(R)
+    W = V.copy()
+    while act.size:
+        for i, others, f in nbrs:
+            C = np.einsum("pk,rpkd->rdk", f, W[:, others])
+            # a zero coupling leaves that restart's triad as it is
+            live = C.any(axis=(1, 2))
+            sel = slice(None) if live.all() else live
+            Q, Rf = np.linalg.qr(C[sel])
+            U3, _, Vt3 = np.linalg.svd(Rf)
+            W[sel, i] = (Q @ (U3 @ Vt3)).transpose(0, 2, 1)
+        new = objectives(W)
+        old = obj[act]
+        sweeps[act] += 1
+        monotone[act[new < old - 1e-8 * (1.0 + np.abs(old))]] = False
+        rel = (new - old) / np.maximum(1.0, np.abs(new))
+        last_rel[act] = rel
+        obj[act] = new
+        done = rel < tol
+        converged[act[done]] = True
+        stop = done | (sweeps[act] >= max_sweeps)
+        if stop.any():
+            V[act[stop]] = W[stop]
+            act, W = act[~stop], W[~stop]
     return obj, sweeps, last_rel, converged, monotone
 
 
@@ -78,27 +121,38 @@ def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
 
 
 def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
-    n = B.shape[0]
-    energy = product_energy_kernel(B, ei, ej, wc3, wsum)
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
-        for i in range(n):
-            sl = slice(nptr[i], nptr[i + 1])
-            others = nother[sl]
-            if others.shape[0] == 0:
-                continue
-            c = np.einsum("pk,pk->k", fac[sl], B[others])
-            nc = np.sqrt(c @ c)
-            if nc > 0.0:
-                B[i] = c / nc
-        new = product_energy_kernel(B, ei, ej, wc3, wsum)
-        sweeps += 1
-        gain = new - energy
-        energy = new
-        if gain < tol:
-            converged = True
-            break
+    """Ascend every restart of B (R, n, 3) in place.
+
+    Returns per-restart arrays (energy, sweeps, converged).
+    """
+    R = B.shape[0]
+    nbrs = _neighbourhoods(nptr, nother, fac)
+
+    def energies(W):
+        return wsum - np.einsum("ek,rek->r", wc3, W[:, ei] * W[:, ej])
+
+    energy = energies(B)
+    sweeps = np.zeros(R, dtype=np.int64)
+    converged = np.zeros(R, dtype=bool)
+    act = np.arange(R)
+    W = B.copy()
+    while act.size:
+        for i, others, f in nbrs:
+            c = np.einsum("pk,rpk->rk", f, W[:, others])
+            nc = np.sqrt(np.einsum("rk,rk->r", c, c))
+            live = nc > 0.0
+            sel = slice(None) if live.all() else live
+            W[sel, i] = c[sel] / nc[sel, None]
+        new = energies(W)
+        gain = new - energy[act]
+        sweeps[act] += 1
+        energy[act] = new
+        done = gain < tol
+        converged[act[done]] = True
+        stop = done | (sweeps[act] >= max_sweeps)
+        if stop.any():
+            B[act[stop]] = W[stop]
+            act, W = act[~stop], W[~stop]
     return energy, sweeps, converged
 
 

@@ -15,13 +15,21 @@ thin QR of the 3n x 3 coupling matrix and an SVD of its 3x3 R factor. At
 full rank the Gram vectors are already the factor a Cholesky step would
 extract, so none is needed.
 
-Restart 0 is warm-started from a heuristic best product state embedded as
-mutually orthogonal triads; the ascent is monotone, so the solver value
-always dominates that product state's energy.
+Restart 0 is warm-started from a heuristic best product state (searched with
+SolverConfig.seed) embedded as mutually orthogonal triads; the ascent is
+monotone, so the solver value always dominates that product state's energy.
+The other restarts start from random triads.
+
+All restarts run as one lock-step batch over a leading restart axis,
+V of shape (R, n, 3, 3n): each sweep updates qubit i of every still-active
+restart with one stacked QR and one stacked SVD. Each restart keeps its own
+stop rule (relative gain below sweep_tolerance, or max_sweeps) and its own
+monotonicity check; a restart that has stopped is frozen.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,8 @@ from . import _kernels
 from ._backend import DOMAIN_SOLVER, rng_for
 from .instance import Instance
 from .oracle import best_product_state
+
+log = logging.getLogger("heisopt")
 
 __all__ = [
     "SolverConfig",
@@ -69,6 +79,7 @@ class SolveDiagnostics:
     final_improvement: float
     converged: bool
     restart_values: tuple[float, ...]
+    capped: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,43 +143,49 @@ def _random_triads(n: int, rng) -> np.ndarray:
 
 
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
-    """Best feasible point over cfg.restarts runs of block-coordinate ascent."""
+    """Best feasible point over cfg.restarts runs of block-coordinate ascent.
+
+    All restarts run as one lock-step batch; restarts that stop at
+    cfg.max_sweeps are counted in diagnostics.capped and logged as a warning
+    on the "heisopt" logger.
+    """
     cfg = cfg or SolverConfig()
     ei, ej, w, wc3 = inst.arrays()
     nptr, nother, fac = inst.incidence()
     wsum = float(w.sum())
 
-    warm = best_product_state(inst)
-    inits = [_embed_product(warm.state.bloch)]
+    warm = best_product_state(inst, seed=cfg.seed)
+    V = np.empty((cfg.restarts, inst.n, 3, 3 * inst.n))
+    V[0] = _embed_product(warm.state.bloch)
     for k in range(1, cfg.restarts):
-        inits.append(_random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k)))
+        V[k] = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
 
-    def run(V):
-        out = _kernels.sdp_sweeps(
-            V, nptr, nother, fac, ei, ej, wc3, wsum, cfg.max_sweeps, cfg.sweep_tolerance
+    obj, sweeps, rel, converged, monotone = _kernels.sdp_sweeps(
+        V, nptr, nother, fac, ei, ej, wc3, wsum, cfg.max_sweeps, cfg.sweep_tolerance
+    )
+    if not monotone.all():
+        raise RuntimeError("sweep objective decreased; ascent invariant violated")
+    capped = int(cfg.restarts - converged.sum())
+    if capped:
+        log.warning(
+            "moment relaxation: %d of %d restarts stopped at max_sweeps=%d",
+            capped, cfg.restarts, cfg.max_sweeps,
         )
-        obj, sweeps, rel, converged, monotone = out
-        if not monotone:
-            raise RuntimeError("sweep objective decreased; ascent invariant violated")
-        return float(obj), int(sweeps), float(rel), bool(converged), V
 
-    results = [run(V) for V in inits]
-
-    best_idx = 0
-    for idx in range(1, len(results)):
-        if results[idx][0] > results[best_idx][0]:
-            best_idx = idx
-    obj, sweeps, rel, converged, V = results[best_idx]
+    best = int(np.argmax(obj))
     diag = SolveDiagnostics(
         restarts=cfg.restarts,
-        total_sweeps=sum(r[1] for r in results),
-        best_restart=best_idx,
-        best_sweeps=sweeps,
-        final_improvement=rel,
-        converged=converged,
-        restart_values=tuple(r[0] + inst.offset for r in results),
+        total_sweeps=int(sweeps.sum()),
+        best_restart=best,
+        best_sweeps=int(sweeps[best]),
+        final_improvement=float(rel[best]),
+        converged=bool(converged[best]),
+        restart_values=tuple(float(v) + inst.offset for v in obj),
+        capped=capped,
     )
-    return MomentSolution(vectors=V, value=obj + inst.offset, diagnostics=diag)
+    return MomentSolution(
+        vectors=V[best].copy(), value=float(obj[best]) + inst.offset, diagnostics=diag
+    )
 
 
 def sdp_objective(inst: Instance, sol: MomentSolution) -> float:

@@ -13,11 +13,14 @@ ExactResult.method:
 Both stop at MAX_QUBITS; larger instances raise OracleLimitError.
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
-used both as a reference point and as the solver's warm start.
+used both as a reference point and as the solver's warm start. Its restarts
+run as one lock-step batch over a leading restart axis (B of shape
+(R, n, 3)); each restart keeps its own Philox start and its own stop rule.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
     "ProductSearchResult",
     "best_product_state",
 ]
+
+log = logging.getLogger("heisopt")
 
 MAX_QUBITS = 20
 _BASIS = 60
@@ -132,6 +137,8 @@ class ProductSearchResult:
     state: ProductState
     energy: float
     restarts_used: int
+    sweeps: int
+    capped: int
 
 
 def best_product_state(
@@ -145,7 +152,10 @@ def best_product_state(
 
     Each sweep sets every Bloch vector to the normalized local field
     c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
-    the energy; sweeps stop once a full pass gains less than tol.
+    the energy; a restart stops once a full pass gains less than tol, or at
+    max_sweeps. All restarts run as one lock-step batch. `sweeps` is their
+    total and `capped` counts those stopped by max_sweeps, which also logs a
+    warning on the "heisopt" logger.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -153,24 +163,30 @@ def best_product_state(
     nptr, nother, fac = inst.incidence()
     ident = float(w.sum() + inst.offset)
 
-    best_B = None
-    best_energy = -np.inf
+    B = np.empty((restarts, inst.n, 3))
     for k in range(restarts):
         rng = rng_for(seed, DOMAIN_PRODUCT_SEARCH, k)
-        B = rng.standard_normal((inst.n, 3))
-        norms = np.linalg.norm(B, axis=1)
+        Bk = rng.standard_normal((inst.n, 3))
+        norms = np.linalg.norm(Bk, axis=1)
         while (norms < 1e-12).any():
             bad = norms < 1e-12
-            B[bad] = rng.standard_normal((int(bad.sum()), 3))
-            norms = np.linalg.norm(B, axis=1)
-        B /= norms[:, None]
-        B = np.ascontiguousarray(B)
-        energy, _, _ = _kernels.ascent_sweeps(
-            B, nptr, nother, fac, ei, ej, wc3, ident, max_sweeps, tol
+            Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
+            norms = np.linalg.norm(Bk, axis=1)
+        B[k] = Bk / norms[:, None]
+    energy, sweeps, converged = _kernels.ascent_sweeps(
+        B, nptr, nother, fac, ei, ej, wc3, ident, max_sweeps, tol
+    )
+    best = int(np.argmax(energy))
+    capped = int(restarts - converged.sum())
+    if capped:
+        log.warning(
+            "product search: %d of %d restarts stopped at max_sweeps=%d",
+            capped, restarts, max_sweeps,
         )
-        if energy > best_energy:
-            best_energy = float(energy)
-            best_B = B.copy()
     return ProductSearchResult(
-        state=ProductState(bloch=best_B), energy=best_energy, restarts_used=restarts
+        state=ProductState(bloch=B[best].copy()),
+        energy=float(energy[best]),
+        restarts_used=restarts,
+        sweeps=int(sweeps.sum()),
+        capped=capped,
     )

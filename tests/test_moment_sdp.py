@@ -143,3 +143,19 @@ def test_mismatched_objective_rejected():
     sol = MomentSolution(vectors=np.tile(np.eye(3), (3, 1, 3)).reshape(3, 3, 9), value=0.0)
     with pytest.raises(ValueError):
         sdp_objective(inst, sol)
+
+
+def test_warm_start_uses_configured_seed(monkeypatch):
+    from heisopt import moment_sdp
+
+    seen = []
+    search = moment_sdp.best_product_state
+
+    def recording(inst, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return search(inst, **kwargs)
+
+    monkeypatch.setattr(moment_sdp, "best_product_state", recording)
+    inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 0), Edge(1, 2, 1.0, 0, 1, 1)))
+    solve_moment_sdp(inst, SolverConfig(restarts=2, seed=7))
+    assert seen == [7]
