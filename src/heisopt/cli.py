@@ -131,10 +131,10 @@ def run_pipeline(
     lam = method = best_prod = true_ratio = prod_ratio = None
     if oracle:
         exact = exact_max_eigenvalue(inst)
-        search = best_product_state(inst, seed=seed)
         lam = exact.lambda_max
         method = exact.method
-        best_prod = search.energy
+        # the solver's warm start is best_product_state(inst, seed=seed)
+        best_prod = sol.diagnostics.warm_start_energy
         if lam > 0:
             true_ratio = outcome.energy / lam
             prod_ratio = best_prod / lam
@@ -323,7 +323,13 @@ def _add_common(p, *, seed=True, out=True, threads=False, restarts=None):
     if out:
         p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="thread pool size for rounding trials")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="kept for compatibility and reported; rounding runs no thread pool, "
+            "so results and speed are the same at any count",
+        )
     if restarts is not None:
         p.add_argument("--restarts", type=int, default=restarts)
 

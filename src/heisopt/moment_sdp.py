@@ -17,8 +17,9 @@ extract, so none is needed.
 
 Restart 0 is warm-started from a heuristic best product state (searched with
 SolverConfig.seed) embedded as mutually orthogonal triads; the ascent is
-monotone, so the solver value always dominates that product state's energy.
-The other restarts start from random triads.
+monotone, so the solver value always dominates that product state's energy,
+which SolveDiagnostics.warm_start_energy reports. The other restarts start
+from random triads.
 
 All restarts run as one lock-step batch over a leading restart axis,
 V of shape (R, n, 3, 3n): each sweep updates qubit i of every still-active
@@ -80,6 +81,8 @@ class SolveDiagnostics:
     converged: bool
     restart_values: tuple[float, ...]
     capped: int
+    # energy of the warm start: best_product_state(inst, seed=cfg.seed)
+    warm_start_energy: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +185,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
         converged=bool(converged[best]),
         restart_values=tuple(float(v) + inst.offset for v in obj),
         capped=capped,
+        warm_start_energy=warm.energy,
     )
     return MomentSolution(
         vectors=V[best].copy(), value=float(obj[best]) + inst.offset, diagnostics=diag

@@ -12,8 +12,22 @@ Two schemes:
     state.
 
 Both run `trials` independent draws, each a pure function of
-(seed, trial index), and keep the best trial by energy (first index wins
-ties). The Caratheodory splitter rewrites arbitrary coefficients in
+(seed, trial index): trial t draws from rng_for(seed, DOMAIN_ROUNDING, t).
+They keep the best trial by energy (first index wins ties).
+
+Trials run in blocks. A block stacks its trials' draws, projects them with
+one matmul (R @ X^T for bfv, G @ V_a^T for the axis scheme), normalizes
+once and scores every trial with one call of the product-energy kernel,
+which sums each trial's edge terms in the same order wherever the trial
+sits. The block holds as many trials as fit _BLOCK_BYTES of draws,
+(b, r, r*3n) float64, so its size depends on n and r only, never on
+`threads`, and stays bounded at any n. The axis scheme is the r = 1 case,
+which keeps bfv at rank 1 on exactly the axis scheme's draws and
+arithmetic. `threads` is kept in the signatures but runs no pool: the work
+is numpy calls that hold the interpreter lock, and a thread pool over
+blocks measured slower than one thread.
+
+The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
 edgewise it turns any instance into a corner-coefficient multigraph with
 the same Hamiltonian.
@@ -21,7 +35,6 @@ the same Hamiltonian.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +53,9 @@ __all__ = [
     "bfv_round",
     "gw_axis_round",
 ]
+
+# Byte budget of one block's Gaussian draws, (b, r, r*3n) float64.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +120,49 @@ def split_instance(inst: Instance) -> Instance:
     return Instance(n=inst.n, edges=tuple(edges), label=inst.label, offset=inst.offset)
 
 
-def _run_trials(trials, seed, threads, one_trial):
-    """Map trial indices to (energy, bloch) pairs, optionally in threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
-    energies = np.asarray([r[0] for r in results])
-    best = int(np.argmax(energies))
-    return energies, results[best][1]
+def _block_trials(n: int, r: int) -> int:
+    """Trials per block: as many r x r*3n Gaussian draws as fit the budget."""
+    return max(1, _BLOCK_BYTES // (8 * r * r * 3 * n))
+
+
+def _round_blocks(inst, trials, seed, r, X, to_bloch):
+    """Score `trials` projection trials block by block; keep the best.
+
+    Trial t draws R_t ~ N(0,1)^{r x r*3n} from rng_for(seed, DOMAIN_ROUNDING, t)
+    and projects every qubit's row of X (n, r*3n): Y_t = R_t X^T. One matmul
+    covers a whole block. to_bloch(Y, rngs, bloch) turns the block's
+    projections Y (b, r, n) into Bloch vectors, drawing again from a trial's
+    own generator in rngs if it must.
+    """
+    n = inst.n
+    ei, ej, w, wc3 = inst.arrays()
+    ident = float(w.sum() + inst.offset)
+    shape = (r, X.shape[1])
+    size = _block_trials(n, r)
+    energies = np.empty(trials)
+    best_energy, best_bloch = -np.inf, None
+    for t0 in range(0, trials, size):
+        b = min(size, trials - t0)
+        rngs = [rng_for(seed, DOMAIN_ROUNDING, t) for t in range(t0, t0 + b)]
+        G = np.empty((b,) + shape)
+        for k, rng in enumerate(rngs):
+            G[k] = rng.standard_normal(shape)
+        Y = (G.reshape(b * r, -1) @ X.T).reshape(b, r, n)
+        del G  # before the energy temporaries, to keep the peak at one budget
+        bloch = np.zeros((b, n, 3))
+        to_bloch(Y, rngs, bloch)
+        e = product_energy_kernel(bloch, ei, ej, wc3, ident)
+        energies[t0 : t0 + b] = e
+        k = int(np.argmax(e))
+        if e[k] > best_energy:  # strict: an earlier block keeps a tie
+            best_energy, best_bloch = e[k], bloch[k].copy()
+    return RoundingOutcome(
+        state=ProductState(bloch=best_bloch),
+        energy=float(energies.max()),
+        trials_run=trials,
+        per_trial_energies=tuple(energies.tolist()),
+        seed=seed,
+    )
 
 
 def bfv_round(
@@ -123,7 +172,11 @@ def bfv_round(
     seed: int = 0,
     threads: int = 1,
 ) -> RoundingOutcome:
-    """Gaussian projection rounding onto the active axes."""
+    """Gaussian projection rounding onto the active axes.
+
+    `threads` is accepted for compatibility; it changes neither the result
+    nor the speed.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     tag = is_family_uniform(inst)
@@ -136,34 +189,19 @@ def bfv_round(
         raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
     active = list(tag.active_axes)
     r = tag.r
-    D = 3 * inst.n
     # x_i: active Gram vectors concatenated in axis order, norm sqrt(r) -> 1.
     X = np.concatenate([sol.vectors[:, k, :] for k in active], axis=1) / np.sqrt(r)
 
-    ei, ej, w, wc3 = inst.arrays()
-    ident = float(w.sum() + inst.offset)
+    def to_bloch(Y, rngs, bloch):
+        norms = np.sqrt(np.einsum("brn,brn->bn", Y, Y))
+        # a qubit with a (numerically) zero projection: that trial redraws
+        for k in np.flatnonzero((norms < 1e-300).any(axis=1)):
+            while (norms[k] < 1e-300).any():
+                Y[k] = rngs[k].standard_normal((r, X.shape[1])) @ X.T
+                norms[k] = np.linalg.norm(Y[k], axis=0)
+        bloch[:, :, active] = (Y / norms[:, None, :]).transpose(0, 2, 1)
 
-    def one_trial(t):
-        rng = rng_for(seed, DOMAIN_ROUNDING, t)
-        R = rng.standard_normal((r, r * D))
-        Y = R @ X.T  # (r, n)
-        norms = np.linalg.norm(Y, axis=0)
-        while (norms < 1e-300).any():
-            R = rng.standard_normal((r, r * D))
-            Y = R @ X.T
-            norms = np.linalg.norm(Y, axis=0)
-        bloch = np.zeros((inst.n, 3))
-        bloch[:, active] = (Y / norms).T
-        return float(product_energy_kernel(bloch, ei, ej, wc3, ident)), bloch
-
-    energies, best_bloch = _run_trials(trials, seed, threads, one_trial)
-    return RoundingOutcome(
-        state=ProductState(bloch=best_bloch),
-        energy=float(energies.max()),
-        trials_run=trials,
-        per_trial_energies=tuple(float(x) for x in energies),
-        seed=seed,
-    )
+    return _round_blocks(inst, trials, seed, r, X, to_bloch)
 
 
 def gw_axis_round(
@@ -173,13 +211,16 @@ def gw_axis_round(
     seed: int = 0,
     threads: int = 1,
 ) -> RoundingOutcome:
-    """Hyperplane rounding on the single most valuable axis."""
+    """Hyperplane rounding on the single most valuable axis.
+
+    `threads` is accepted for compatibility; it changes neither the result
+    nor the speed.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     if sol.n != inst.n:
         raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
     ei, ej, w, wc3 = inst.arrays()
-    D = 3 * inst.n
 
     # Axis score: what the objective's coupling part contributes on axis a.
     scores = np.empty(3)
@@ -188,22 +229,9 @@ def gw_axis_round(
         scores[a] = -float(wc3[:, a] @ dots)
     a_star = int(np.argmax(scores))  # lowest index wins ties
 
-    ident = float(w.sum() + inst.offset)
+    def to_bloch(Y, rngs, bloch):
+        bloch[:, :, a_star] = np.where(Y[:, 0, :] < 0.0, -1.0, 1.0)  # zero rounds up
 
-    def one_trial(t):
-        rng = rng_for(seed, DOMAIN_ROUNDING, t)
-        g = rng.standard_normal(D)
-        d = sol.vectors[:, a_star, :] @ g
-        signs = np.where(d < 0.0, -1.0, 1.0)  # zero projections round up
-        bloch = np.zeros((inst.n, 3))
-        bloch[:, a_star] = signs
-        return float(product_energy_kernel(bloch, ei, ej, wc3, ident)), bloch
-
-    energies, best_bloch = _run_trials(trials, seed, threads, one_trial)
-    return RoundingOutcome(
-        state=ProductState(bloch=best_bloch),
-        energy=float(energies.max()),
-        trials_run=trials,
-        per_trial_energies=tuple(float(x) for x in energies),
-        seed=seed,
-    )
+    # contiguous like bfv_round's X, so that bfv at rank 1 runs the same matmul
+    Va = np.ascontiguousarray(sol.vectors[:, a_star, :])
+    return _round_blocks(inst, trials, seed, 1, Va, to_bloch)

@@ -181,3 +181,26 @@ def test_console_entry_point(cycle_file):
     res = run_cli(["ratio-tables"])
     assert res.returncode == 0
     assert res.stdout.startswith("scheme r step ratio t_star")
+
+
+def test_oracle_pipeline_runs_one_product_search(monkeypatch):
+    # the oracle's best product energy is the solver's warm start, not a
+    # second search with the same seed and restarts
+    from heisopt import Edge, Instance, cli, moment_sdp, oracle
+
+    calls = []
+    for mod in (moment_sdp, cli):
+        def counting(*args, _search=mod.best_product_state, _name=mod.__name__, **kwargs):
+            calls.append(_name)
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "best_product_state", counting)
+    inst = Instance(
+        n=4,
+        edges=(Edge(0, 1, 1.0, 0.5, -0.2, 1.0), Edge(1, 2, 0.7, 1, 1, 1), Edge(2, 3, 1.0, 0, 0.3, -1)),
+    )
+    for seed in (0, 3):
+        calls.clear()
+        report = cli.run_pipeline(inst, scheme="axis", trials=20, seed=seed, restarts=2, oracle=True)
+        assert calls == ["heisopt.moment_sdp"]
+        assert report.best_product_energy == oracle.best_product_state(inst, seed=seed).energy

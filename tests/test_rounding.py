@@ -12,9 +12,12 @@ from heisopt import (
     caratheodory_split,
     exact_max_eigenvalue,
     gw_axis_round,
+    is_family_uniform,
+    rounding,
     solve_moment_sdp,
     split_instance,
 )
+from heisopt._backend import DOMAIN_ROUNDING, rng_for
 
 
 def antipodal_solution(n, axes=(0, 1, 2)):
@@ -237,3 +240,150 @@ def test_triangle_f001_axis_hits_optimum():
     assert out.energy == pytest.approx(4.0, abs=1e-9)  # optimum reached
     mean_ratio = np.mean(out.per_trial_energies) / 4.5
     assert mean_ratio >= 0.878
+
+
+# ------------------------------------------------- batched against one trial
+
+
+def random_triads(n, rng):
+    """A feasible relaxation point: one random orthonormal triad per qubit."""
+    V = np.empty((n, 3, 3 * n))
+    for i in range(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((3 * n, 3)))
+        V[i] = Q.T
+    return MomentSolution(vectors=V, value=0.0)
+
+
+def edge_energy(inst, bloch):
+    return inst.offset + sum(
+        e.w * (1.0 - sum(c * bloch[e.i, k] * bloch[e.j, k] for k, c in enumerate(e.coeffs)))
+        for e in inst.edges
+    )
+
+
+def one_trial_loop(inst, sol, scheme, trials, seed, skip_first=None):
+    """Each trial on its own: its own stream, one projection, one energy.
+
+    Trial `skip_first` throws its first draw away, as a redraw would.
+    Returns the per-trial energies and Bloch vectors.
+    """
+    if scheme == "bfv":
+        active = list(is_family_uniform(inst).active_axes)
+        X = np.concatenate([sol.vectors[:, k, :] for k in active], axis=1)
+        X /= np.sqrt(len(active))
+        r = len(active)
+    else:
+        scores = [
+            -sum(e.w * e.coeffs[a] * sol.vectors[e.i, a] @ sol.vectors[e.j, a] for e in inst.edges)
+            for a in range(3)
+        ]
+        a_star = int(np.argmax(scores))
+        X = sol.vectors[:, a_star, :]
+        r = 1
+    energies, blochs = [], []
+    for t in range(trials):
+        rng = rng_for(seed, DOMAIN_ROUNDING, t)
+        if t == skip_first:
+            rng.standard_normal((r, X.shape[1]))
+        Y = rng.standard_normal((r, X.shape[1])) @ X.T
+        bloch = np.zeros((inst.n, 3))
+        if scheme == "bfv":
+            bloch[:, active] = (Y / np.linalg.norm(Y, axis=0)).T
+        else:
+            bloch[:, a_star] = np.where(Y[0] < 0.0, -1.0, 1.0)
+        energies.append(edge_energy(inst, bloch))
+        blochs.append(bloch)
+    return np.array(energies), blochs
+
+
+ROUNDERS = {"bfv": bfv_round, "axis": gw_axis_round}
+
+
+@pytest.fixture(scope="module")
+def xy_loop():
+    """An XY instance at n=24, a random feasible point, and the one-trial
+    loop run one trial past each scheme's block size."""
+    rng = np.random.default_rng(77)
+    base = random_instance(rng, n=24, p=0.3)
+    inst = Instance(n=24, edges=tuple(Edge(e.i, e.j, e.w, 1, 1, 0) for e in base.edges))
+    sol = random_triads(24, rng)
+    block = {"bfv": rounding._block_trials(24, 2), "axis": rounding._block_trials(24, 1)}
+    loops = {s: one_trial_loop(inst, sol, s, block[s] + 1, seed=5) for s in ROUNDERS}
+    return inst, sol, block, loops
+
+
+@pytest.mark.parametrize("scheme", ["bfv", "axis"])
+@pytest.mark.parametrize("count", ["one", "block-1", "block", "block+1"])
+def test_batched_matches_one_trial_loop(xy_loop, scheme, count):
+    inst, sol, block, loops = xy_loop
+    trials = {"one": 1, "block-1": -1, "block": 0, "block+1": 1}[count]
+    if count != "one":
+        trials += block[scheme]
+    assert 1 < block[scheme] < 5000  # several blocks at n=24, none trivial
+    out = ROUNDERS[scheme](inst, sol, trials=trials, seed=5)
+    want, blochs = loops[scheme][0][:trials], loops[scheme][1]
+    got = np.array(out.per_trial_energies)
+    assert got.shape == (trials,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    best = int(np.argmax(want))
+    assert int(np.argmax(got)) == best
+    assert np.allclose(out.state.bloch, blochs[best], rtol=0, atol=1e-12)
+
+
+def test_equal_axis_patterns_score_bitwise_equal(monkeypatch):
+    # blocks of 7 trials and a last block of 1 to 6: every sign pattern
+    # recurs at many positions, and in blocks of every size
+    rng = np.random.default_rng(3)
+    inst = random_instance(rng, n=6, p=0.9)
+    sol = random_triads(6, rng)
+    monkeypatch.setattr(rounding, "_BLOCK_BYTES", 7 * 8 * 3 * 6)
+    assert rounding._block_trials(6, 1) == 7
+    longest = 7 * 40 + 6
+    _, blochs = one_trial_loop(inst, sol, "axis", longest, seed=2)
+    groups = {}
+    for t, b in enumerate(blochs):
+        signs = b.sum(axis=1)
+        groups.setdefault(tuple(signs * signs[0]), []).append(t)  # B and -B score alike
+    outs = [gw_axis_round(inst, sol, trials=7 * 40 + k, seed=2) for k in range(1, 7)]
+    for out in outs:
+        trials = out.trials_run
+        for members in groups.values():
+            values = {out.per_trial_energies[t] for t in members if t < trials}
+            assert len(values) <= 1, members
+        # a trial scores the same in a last block of any size
+        assert out.per_trial_energies == outs[-1].per_trial_energies[:trials]
+        # the first trial of the best pattern wins
+        best = out.per_trial_energies.index(out.energy)
+        assert np.array_equal(out.state.bloch, blochs[best])
+
+
+def test_zero_first_draw_redraws_from_own_stream(monkeypatch):
+    rng = np.random.default_rng(8)
+    base = random_instance(rng, n=6, p=0.6)
+    inst = Instance(n=6, edges=tuple(Edge(e.i, e.j, e.w, 1, 1, 0) for e in base.edges))
+    sol = random_triads(6, rng)
+    real = rounding.rng_for
+
+    class FirstDrawZero:
+        def __init__(self, gen):
+            self.gen, self.first = gen, True
+
+        def standard_normal(self, size):
+            x = self.gen.standard_normal(size)
+            if self.first:
+                self.first = False
+                return np.zeros_like(x)
+            return x
+
+    def patched(seed, domain, index):
+        gen = real(seed, domain, index)
+        return FirstDrawZero(gen) if index == 3 else gen
+
+    plain = bfv_round(inst, sol, trials=10, seed=1)
+    monkeypatch.setattr(rounding, "rng_for", patched)
+    out = bfv_round(inst, sol, trials=10, seed=1)
+    want, _ = one_trial_loop(inst, sol, "bfv", 10, seed=1, skip_first=3)
+    got = np.array(out.per_trial_energies)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got[3] != plain.per_trial_energies[3]  # trial 3 used its second draw
+    assert np.delete(got, 3).tolist() == np.delete(plain.per_trial_energies, 3).tolist()
