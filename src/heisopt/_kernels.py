@@ -1,7 +1,6 @@
 """Hot numerical kernels, vectorized with numpy.
 
-Sequential recurrences (block coordinate ascent, the 2F1 series) keep their
-loop in Python.
+The block coordinate ascents keep their loop over qubits in Python.
 
 Shared array conventions:
   V    (n, 3, 3n) float64, V[i, k] is the Gram vector of Pauli axis k on qubit i
@@ -168,34 +167,6 @@ def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
             B[act[stop]] = W[stop]
             act, W = act[~stop], W[~stop]
     return energy, sweeps, converged
-
-
-# ------------------------------------------------------------ 2F1 half series
-#
-# 2F1(1/2,1/2;c;z) via the term recurrence T_{k+1} = T_k (k+1/2)^2 z /
-# ((k+c)(k+1)), Kahan-compensated. The term ratio is < z, so the tail after
-# T_k is bounded by T_k z/(1-z); the caller special-cases z = 1.
-
-
-def hyp_series(c, z, tol, cap):
-    s = 1.0
-    comp = 0.0
-    term = 1.0
-    k = 0
-    bound = 0.0
-    if z <= 0.0:
-        return s, bound, k
-    while k < cap:
-        term *= (k + 0.5) * (k + 0.5) * z / ((k + c) * (k + 1.0))
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        bound = term * z / (1.0 - z)
-        if bound <= tol * max(1.0, abs(s)):
-            break
-    return s, bound, k
 
 
 # ---------------------------------------------------- matrix-free Hamiltonian

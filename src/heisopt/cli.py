@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .edge_analysis import product_ratio_bound
 from .instance import Instance, ParseError, generate, parse_instance_file, serialize_instance
@@ -71,26 +71,7 @@ class RatioReport:
     product_ratio: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "label": self.label,
-            "n": self.n,
-            "m": self.m,
-            "scheme": self.scheme,
-            "sdp_value": self.sdp_value,
-            "rounded_energy": self.rounded_energy,
-            "certified_ratio": self.certified_ratio,
-            "trials": self.trials,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "threads": self.threads,
-            "solver_converged": self.solver_converged,
-            "lambda_max": self.lambda_max,
-            "oracle_method": self.oracle_method,
-            "best_product_energy": self.best_product_energy,
-            "true_ratio": self.true_ratio,
-            "product_ratio": self.product_ratio,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _default_seed(args_seed: int | None) -> int:
@@ -192,15 +173,7 @@ def _constants_table(rows: list[dict]) -> str:
 
 def _cmd_gen(args) -> int:
     seed = _default_seed(args.seed)
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.n1 is not None:
-        params["n1"] = args.n1
-    if args.n2 is not None:
-        params["n2"] = args.n2
-    if args.p is not None:
-        params["p"] = args.p
+    params = {k: getattr(args, k) for k in ("n", "n1", "n2", "p") if getattr(args, k) is not None}
     if args.kind != "single_edge":
         params["weights"] = args.weights
     inst = generate(args.kind, seed=seed, family=tuple(args.family), **params)
@@ -275,10 +248,8 @@ def _cmd_ratio_tables(args) -> int:
         os.makedirs(args.csv_dir, exist_ok=True)
         for scheme, fn in (("bfv", approx_ratio_bfv), ("axis", approx_ratio_axis)):
             for r in (1, 2, 3):
-                curve = fn(r, step=args.grid_step)
                 path = os.path.join(args.csv_dir, f"{scheme}_r{r}.csv")
-                with open(path, "w") as fh:
-                    fh.write(curve_to_csv(curve))
+                _write(path, curve_to_csv(fn(r, step=args.grid_step)))
     return EXIT_OK
 
 

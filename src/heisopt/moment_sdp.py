@@ -233,6 +233,10 @@ def serialize_moment_solution(sol: MomentSolution) -> str:
 
 
 def parse_moment_solution(text: str) -> MomentSolution:
+    """Inverse of serialize_moment_solution, for feasible points only.
+
+    Rounding an infeasible point, a zero vector say, would redraw forever.
+    """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("expected header 'n value'")
@@ -241,11 +245,21 @@ def parse_moment_solution(text: str) -> MomentSolution:
     if len(rows) != 1 + 3 * n:
         raise ValueError(f"expected {3 * n} vector rows, found {len(rows) - 1}")
     V = np.zeros((n, 3, 3 * n))
+    seen = set()
     for row in rows[1:]:
         if len(row) != 2 + 3 * n:
             raise ValueError("vector row has wrong arity")
         i, k = int(row[0]), int(row[1])
         if not (0 <= i < n and 0 <= k < 3):
             raise ValueError(f"row index ({i}, {k}) out of range")
+        if (i, k) in seen:
+            raise ValueError(f"row ({i}, {k}) appears twice")
+        seen.add((i, k))
         V[i, k] = [float(x) for x in row[2:]]
-    return MomentSolution(vectors=V, value=value)
+    if not (np.isfinite(value) and np.isfinite(V).all()):
+        raise ValueError("solution holds a non-finite value")
+    sol = MomentSolution(vectors=V, value=value)
+    rep = check_feasibility(sol)
+    if not rep.passed:
+        raise ValueError(f"solution is not feasible: {rep}")
+    return sol

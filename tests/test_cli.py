@@ -12,7 +12,7 @@ from heisopt.cli import main, reproduce_constants
 _PKG_ROOT = os.path.dirname(os.path.dirname(heisopt.__file__))
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("HEIS_DEFAULT_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_PKG_ROOT, env.get("PYTHONPATH"))))
@@ -23,6 +23,7 @@ def run_cli(args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -130,6 +131,21 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("this is not an instance\n")
     assert main(["solve", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_round_rejects_duplicate_solution_rows(tmp_path):
+    # Qubit 1's rows repeated as (1, 2) leave two zero vectors, and rounding
+    # such a point would redraw forever: the parser must refuse the file.
+    inst = tmp_path / "edge.txt"
+    assert main(["gen", "single_edge", "--family", "1", "1", "0", "--out", str(inst)]) == 0
+    good = tmp_path / "edge.sol"
+    assert main(["solve", str(inst), "--out", str(good)]) == 0
+    header, *rows = good.read_text().splitlines()
+    bad = tmp_path / "bad.sol"
+    bad.write_text("\n".join([header, *rows[:3], *[rows[5]] * 3]) + "\n")
+    proc = run_cli(["round", str(inst), str(bad)], timeout=60)
+    assert proc.returncode == 2
+    assert "appears twice" in proc.stderr
 
 
 def test_oracle_limit_exit_code(tmp_path):

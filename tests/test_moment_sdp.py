@@ -131,6 +131,40 @@ def test_parse_rejects_malformed():
         parse_moment_solution("1 2.0\n0 5 1 0 0\n")  # axis out of range
 
 
+def _edge_solution_rows():
+    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+    text = serialize_moment_solution(solve_moment_sdp(inst, SolverConfig(restarts=1)))
+    header, *rows = text.splitlines()
+    return header, rows
+
+
+def test_parse_rejects_corrupt_rows():
+    header, rows = _edge_solution_rows()
+    parse_moment_solution("\n".join([header, *rows]))  # the intact file parses
+
+    # qubit 1's three rows all claim (1, 2): (1, 0) and (1, 1) would stay zero
+    dup = rows[:3] + [rows[5]] * 3
+    with pytest.raises(ValueError, match="twice"):
+        parse_moment_solution("\n".join([header, *dup]))
+
+    for bad in ("nan", "inf", "-inf"):
+        fields = rows[4].split()
+        fields[3] = bad
+        corrupt = rows[:4] + [" ".join(fields)] + rows[5:]
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_moment_solution("\n".join([header, *corrupt]))
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_moment_solution("\n".join(["2 nan", *rows]))
+
+    # a stretched vector, then two equal (non-orthogonal) unit vectors
+    fields = rows[0].split()
+    stretched = " ".join(fields[:2] + [repr(2.0 * float(x)) for x in fields[2:]])
+    parallel = " ".join(["0", "1", *fields[2:]])
+    for corrupt in ([stretched] + rows[1:], rows[:1] + [parallel] + rows[2:]):
+        with pytest.raises(ValueError, match="not feasible"):
+            parse_moment_solution("\n".join([header, *corrupt]))
+
+
 def test_solution_shape_validation():
     with pytest.raises(ValueError):
         MomentSolution(vectors=np.zeros((2, 3, 5)), value=0.0)

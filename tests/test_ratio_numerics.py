@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import heisopt
 from heisopt import (
     RatioCurve,
     approx_ratio_axis,
@@ -10,7 +15,9 @@ from heisopt import (
     bfv_expectation,
     curve_to_csv,
     hyp2f1_half,
+    ratio_numerics,
 )
+from heisopt.cli import reproduce_constants
 
 
 def hyp2f1_brute(c, z, terms=400000):
@@ -25,10 +32,24 @@ def hyp2f1_brute(c, z, terms=400000):
     return s
 
 
+# the ends of the domain, the switch from the series to the closed forms at
+# z = 1/4 (and its neighbouring floats), and the largest z checked
+_FIXED_Z = (
+    0.0,
+    1e-24,
+    1e-16,
+    1e-8,
+    math.nextafter(0.25, 0.0),
+    0.25,
+    math.nextafter(0.25, 1.0),
+    0.98,
+)
+
+
 def test_hyp2f1_against_direct_series(rng):
     for r in (1, 2, 3):
         c = r / 2.0 + 1.0
-        for z in rng.uniform(0, 0.98, 200):
+        for z in (*_FIXED_Z, *rng.uniform(0, 0.98, 200)):
             got = hyp2f1_half(r, float(z))
             want = hyp2f1_brute(c, float(z))
             assert got == pytest.approx(want, rel=1e-13)
@@ -46,7 +67,11 @@ def test_hyp2f1_domain():
         hyp2f1_half(4, 0.5)
     with pytest.raises(ValueError):
         hyp2f1_half(1, 1.5)
-    assert hyp2f1_half(1, 0.0) == 1.0
+    for r in (1, 2, 3):
+        assert hyp2f1_half(r, 0.0) == 1.0
+        assert bfv_expectation(r, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        bfv_expectation(2, math.nan)
 
 
 def test_bfv_expectation_odd_in_t(rng):
@@ -141,3 +166,69 @@ def test_invalid_rank_rejected():
             fn(0)
         with pytest.raises(ValueError):
             fn(4)
+
+
+def test_grid_step_rejected_before_allocation(monkeypatch):
+    for fn in (approx_ratio_bfv, approx_ratio_axis):
+        for step in (0.0, -0.01, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                fn(2, step=step)
+    limit = ratio_numerics._MAX_GRID_POINTS
+    tracemalloc.start()
+    try:
+        for fn in (approx_ratio_bfv, approx_ratio_axis):
+            # 2e12 points, and one point more than the limit
+            for step in (1e-12, 2.0 / limit, 5e-324):
+                with pytest.raises(ValueError, match="grid points"):
+                    fn(2, step=step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the limit's grid alone would take 8 MB
+    # the limit is on the point count: step 0.01 gives 201 points
+    monkeypatch.setattr(ratio_numerics, "_MAX_GRID_POINTS", 201)
+    assert len(approx_ratio_axis(1, step=0.01).samples) == 200
+    monkeypatch.setattr(ratio_numerics, "_MAX_GRID_POINTS", 200)
+    with pytest.raises(ValueError, match="grid points"):
+        approx_ratio_axis(1, step=0.01)
+
+
+# reproduce_constants() rows computed by the term-by-term series evaluation
+# that the closed forms replaced: (scheme, r, step, ratio, t_star, gamma)
+_PINNED_CONSTANTS = [
+    ("bfv", 1, 0.01, 0.8785674481778719, -0.69, None),
+    ("bfv", 2, 0.01, 0.6499147946638154, -0.88, None),
+    ("bfv", 3, 0.01, 0.49877939596127974, -0.97, None),
+    ("axis", 1, 0.01, 0.8785674481778719, -0.69, 1),
+    ("axis", 2, 0.01, 0.6099245653619274, -0.85, 1),
+    ("axis", 3, 0.01, 0.4628315073652014, 0.8900000000000001, -1),
+    ("bfv", 1, 0.0001, 0.8785672063945755, -0.6892, None),
+    ("bfv", 2, 0.0001, 0.649914753075266, -0.8797, None),
+    ("bfv", 3, 0.0001, 0.49876742832485893, -0.966, None),
+    ("axis", 1, 0.0001, 0.8785672063945755, -0.6892, 1),
+    ("axis", 2, 0.0001, 0.6099182097568158, -0.853, 1),
+    ("axis", 3, 0.0001, 0.4628301384014669, -0.8887, 1),
+]
+
+
+def test_constants_pinned():
+    rows = reproduce_constants()
+    assert [(row["scheme"], row["r"], row["step"]) for row in rows] == [
+        pin[:3] for pin in _PINNED_CONSTANTS
+    ]
+    for row, (scheme, r, step, ratio, t_star, gamma) in zip(rows, _PINNED_CONSTANTS):
+        assert row["ratio"] == pytest.approx(ratio, rel=0, abs=1e-13)
+        assert row["t_star"] == t_star
+        if scheme == "axis":
+            assert approx_ratio_axis(r, step=step).gamma == gamma
+
+
+def test_import_leaves_scipy_out():
+    root = os.path.dirname(os.path.dirname(heisopt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    code = "import sys, heisopt; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
