@@ -141,24 +141,28 @@ def run_pipeline(
     )
 
 
+def _curves(step: float):
+    """(scheme, r, curve) for the six ratio curves at one grid step.
+
+    A generator, so that a caller holds one curve's samples at a time.
+    """
+    for scheme, fn in (("bfv", approx_ratio_bfv), ("axis", approx_ratio_axis)):
+        for r in (1, 2, 3):
+            yield scheme, r, fn(r, step=step)
+
+
+def _constant_row(scheme: str, r: int, step: float, curve) -> dict:
+    t_star, ratio = curve.minimum
+    return {"scheme": scheme, "r": r, "step": step, "ratio": ratio, "t_star": t_star}
+
+
 def reproduce_constants(steps: tuple[float, ...] = (0.01, 1e-4)) -> list[dict]:
     """Approximation constants for both schemes and all ranks, per grid step."""
-    rows = []
-    for step in steps:
-        for scheme, fn in (("bfv", approx_ratio_bfv), ("axis", approx_ratio_axis)):
-            for r in (1, 2, 3):
-                curve = fn(r, step=step)
-                t_star, ratio = curve.minimum
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "r": r,
-                        "step": step,
-                        "ratio": ratio,
-                        "t_star": t_star,
-                    }
-                )
-    return rows
+    return [
+        _constant_row(scheme, r, step, curve)
+        for step in steps
+        for scheme, r, curve in _curves(step)
+    ]
 
 
 def _constants_table(rows: list[dict]) -> str:
@@ -213,7 +217,7 @@ def _cmd_round(args) -> int:
     payload = {
         "energy": outcome.energy,
         "label": inst.label,
-        "per_trial_energies": list(outcome.per_trial_energies),
+        "per_trial_energies": outcome.trial_energies.tolist(),
         "scheme": args.scheme,
         "sdp_value": sol.value,
         "seed": outcome.seed,
@@ -242,14 +246,17 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_ratio_tables(args) -> int:
-    rows = reproduce_constants(steps=(args.grid_step, 1e-4))
+    # each --grid-step curve gives its row and its CSV; then the paper's 1e-4
+    # rows, unless --grid-step is 1e-4 already
+    rows = []
+    for scheme, r, curve in _curves(args.grid_step):
+        rows.append(_constant_row(scheme, r, args.grid_step, curve))
+        if args.csv_dir is not None:
+            os.makedirs(args.csv_dir, exist_ok=True)
+            _write(os.path.join(args.csv_dir, f"{scheme}_r{r}.csv"), curve_to_csv(curve))
+    if args.grid_step != 1e-4:
+        rows += reproduce_constants(steps=(1e-4,))
     _write(args.out, _constants_table(rows))
-    if args.csv_dir is not None:
-        os.makedirs(args.csv_dir, exist_ok=True)
-        for scheme, fn in (("bfv", approx_ratio_bfv), ("axis", approx_ratio_axis)):
-            for r in (1, 2, 3):
-                path = os.path.join(args.csv_dir, f"{scheme}_r{r}.csv")
-                _write(path, curve_to_csv(fn(r, step=args.grid_step)))
     return EXIT_OK
 
 

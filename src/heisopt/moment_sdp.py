@@ -235,7 +235,8 @@ def serialize_moment_solution(sol: MomentSolution) -> str:
 def parse_moment_solution(text: str) -> MomentSolution:
     """Inverse of serialize_moment_solution, for feasible points only.
 
-    Rounding an infeasible point, a zero vector say, would redraw forever.
+    The rounders refuse an infeasible point as well; a zero vector, say,
+    would make projection rounding redraw forever.
     """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:

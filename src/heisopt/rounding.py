@@ -13,19 +13,29 @@ Two schemes:
 
 Both run `trials` independent draws, each a pure function of
 (seed, trial index): trial t draws from rng_for(seed, DOMAIN_ROUNDING, t).
-They keep the best trial by energy (first index wins ties).
+They keep the best trial by energy (first index wins ties), and return
+every trial's energy in one read-only float64 array.
+
+The draws come from one reused generator, trial_streams(seed,
+DOMAIN_ROUNDING), which is set to trial t's stream before each draw and
+fills the trial's slot of the block in place: building a Philox per trial
+cost more than the trial's projection and scoring together.
+A trial that must redraw (a zero projection) rebuilds its own stream with
+rng_for and continues after its first draw. Both rounders refuse an
+infeasible point (check_feasibility) before drawing anything.
 
 Trials run in blocks. A block stacks its trials' draws, projects them with
 one matmul (R @ X^T for bfv, G @ V_a^T for the axis scheme), normalizes
-once and scores every trial with one call of the product-energy kernel,
-which sums each trial's edge terms in the same order wherever the trial
-sits. The block holds as many trials as fit _BLOCK_BYTES of draws,
-(b, r, r*3n) float64, so its size depends on n and r only, never on
-`threads`, and stays bounded at any n. The axis scheme is the r = 1 case,
-which keeps bfv at rank 1 on exactly the axis scheme's draws and
-arithmetic. `threads` is kept in the signatures but runs no pool: the work
-is numpy calls that hold the interpreter lock, and a thread pool over
-blocks measured slower than one thread.
+once and scores its trials with the product-energy kernel, which sums each
+trial's edge terms in the same order wherever the trial sits. The block
+holds as many trials as fit _BLOCK_BYTES of draws, (b, r, r*3n) float64,
+and the kernel takes as many at a time as fit the same budget of edge
+terms, (c, 3m) float64, so both sizes depend on the graph only, never on
+`threads`, and the temporaries stay bounded at any size. The axis scheme
+is the r = 1 case, which keeps bfv at rank 1 on exactly the axis scheme's
+draws and arithmetic. `threads` is kept in the signatures but runs no
+pool: the work is numpy calls that hold the interpreter lock, and a thread
+pool over blocks measured slower than one thread.
 
 The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
@@ -39,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import DOMAIN_ROUNDING, rng_for
+from ._backend import DOMAIN_ROUNDING, rng_for, trial_streams
 from ._kernels import product_energy_kernel
 from .instance import Edge, Instance, is_family_uniform
-from .moment_sdp import MomentSolution
+from .moment_sdp import MomentSolution, check_feasibility
 from .pauli import ProductState
 
 __all__ = [
@@ -60,11 +70,17 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class RoundingOutcome:
+    """Best of `trials_run` trials; trial_energies is read-only float64."""
+
     state: ProductState
     energy: float
     trials_run: int
-    per_trial_energies: tuple[float, ...]
+    trial_energies: np.ndarray
     seed: int
+
+    @property
+    def per_trial_energies(self) -> tuple[float, ...]:
+        return tuple(self.trial_energies.tolist())
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,19 @@ def split_instance(inst: Instance) -> Instance:
     return Instance(n=inst.n, edges=tuple(edges), label=inst.label, offset=inst.offset)
 
 
+def _check_solution(inst: Instance, sol: MomentSolution) -> None:
+    """Refuse a point of the wrong size or an infeasible one.
+
+    A zero Gram vector, say, projects to zero in every trial, so projection
+    rounding would redraw forever.
+    """
+    if sol.n != inst.n:
+        raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
+    rep = check_feasibility(sol)
+    if not rep.passed:
+        raise ValueError(f"solution is not feasible: {rep}")
+
+
 def _block_trials(n: int, r: int) -> int:
     """Trials per block: as many r x r*3n Gaussian draws as fit the budget."""
     return max(1, _BLOCK_BYTES // (8 * r * r * 3 * n))
@@ -130,37 +159,42 @@ def _round_blocks(inst, trials, seed, r, X, to_bloch):
 
     Trial t draws R_t ~ N(0,1)^{r x r*3n} from rng_for(seed, DOMAIN_ROUNDING, t)
     and projects every qubit's row of X (n, r*3n): Y_t = R_t X^T. One matmul
-    covers a whole block. to_bloch(Y, rngs, bloch) turns the block's
-    projections Y (b, r, n) into Bloch vectors, drawing again from a trial's
-    own generator in rngs if it must.
+    covers a whole block. to_bloch(Y, t0, bloch) turns the projections Y
+    (b, r, n) of trials t0 .. t0+b-1 into Bloch vectors.
     """
     n = inst.n
     ei, ej, w, wc3 = inst.arrays()
     ident = float(w.sum() + inst.offset)
     shape = (r, X.shape[1])
     size = _block_trials(n, r)
+    # trials scored per kernel call: their (c, 3m) edge terms fit the budget
+    chunk = max(1, _BLOCK_BYTES // (8 * 3 * max(ei.shape[0], 1)))
+    at = trial_streams(seed, DOMAIN_ROUNDING)
     energies = np.empty(trials)
     best_energy, best_bloch = -np.inf, None
     for t0 in range(0, trials, size):
         b = min(size, trials - t0)
-        rngs = [rng_for(seed, DOMAIN_ROUNDING, t) for t in range(t0, t0 + b)]
         G = np.empty((b,) + shape)
-        for k, rng in enumerate(rngs):
-            G[k] = rng.standard_normal(shape)
+        for k in range(b):
+            at(t0 + k).standard_normal(shape, out=G[k])
         Y = (G.reshape(b * r, -1) @ X.T).reshape(b, r, n)
         del G  # before the energy temporaries, to keep the peak at one budget
         bloch = np.zeros((b, n, 3))
-        to_bloch(Y, rngs, bloch)
-        e = product_energy_kernel(bloch, ei, ej, wc3, ident)
-        energies[t0 : t0 + b] = e
+        to_bloch(Y, t0, bloch)
+        for s in range(0, b, chunk):
+            energies[t0 + s : t0 + min(s + chunk, b)] = product_energy_kernel(
+                bloch[s : s + chunk], ei, ej, wc3, ident
+            )
+        e = energies[t0 : t0 + b]
         k = int(np.argmax(e))
         if e[k] > best_energy:  # strict: an earlier block keeps a tie
             best_energy, best_bloch = e[k], bloch[k].copy()
+    energies.flags.writeable = False
     return RoundingOutcome(
         state=ProductState(bloch=best_bloch),
         energy=float(energies.max()),
         trials_run=trials,
-        per_trial_energies=tuple(energies.tolist()),
+        trial_energies=energies,
         seed=seed,
     )
 
@@ -185,19 +219,21 @@ def bfv_round(
             "projection rounding needs a family-uniform instance: every edge "
             "must carry the same {0,1} coefficient pattern, at least one axis on"
         )
-    if sol.n != inst.n:
-        raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
+    _check_solution(inst, sol)
     active = list(tag.active_axes)
     r = tag.r
     # x_i: active Gram vectors concatenated in axis order, norm sqrt(r) -> 1.
     X = np.concatenate([sol.vectors[:, k, :] for k in active], axis=1) / np.sqrt(r)
 
-    def to_bloch(Y, rngs, bloch):
+    def to_bloch(Y, t0, bloch):
         norms = np.sqrt(np.einsum("brn,brn->bn", Y, Y))
-        # a qubit with a (numerically) zero projection: that trial redraws
+        # a qubit with a (numerically) zero projection: that trial redraws,
+        # continuing its own stream after the draw the block used
         for k in np.flatnonzero((norms < 1e-300).any(axis=1)):
+            rng = rng_for(seed, DOMAIN_ROUNDING, t0 + int(k))
+            rng.standard_normal((r, X.shape[1]))
             while (norms[k] < 1e-300).any():
-                Y[k] = rngs[k].standard_normal((r, X.shape[1])) @ X.T
+                Y[k] = rng.standard_normal((r, X.shape[1])) @ X.T
                 norms[k] = np.linalg.norm(Y[k], axis=0)
         bloch[:, :, active] = (Y / norms[:, None, :]).transpose(0, 2, 1)
 
@@ -218,8 +254,7 @@ def gw_axis_round(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if sol.n != inst.n:
-        raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
+    _check_solution(inst, sol)
     ei, ej, w, wc3 = inst.arrays()
 
     # Axis score: what the objective's coupling part contributes on axis a.
@@ -229,7 +264,7 @@ def gw_axis_round(
         scores[a] = -float(wc3[:, a] @ dots)
     a_star = int(np.argmax(scores))  # lowest index wins ties
 
-    def to_bloch(Y, rngs, bloch):
+    def to_bloch(Y, t0, bloch):
         bloch[:, :, a_star] = np.where(Y[:, 0, :] < 0.0, -1.0, 1.0)  # zero rounds up
 
     # contiguous like bfv_round's X, so that bfv at rank 1 runs the same matmul

@@ -173,6 +173,33 @@ def test_ratio_tables_output(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("step", [0.02, 1e-4])
+def test_ratio_tables_evaluates_each_curve_once(tmp_path, monkeypatch, step):
+    from heisopt import cli
+    from heisopt.ratio_numerics import approx_ratio_axis, approx_ratio_bfv, curve_to_csv
+
+    calls = []
+    for name in ("approx_ratio_bfv", "approx_ratio_axis"):
+        def counting(r, step, _fn=getattr(cli, name), _name=name):
+            calls.append((_name, r, step))
+            return _fn(r, step=step)
+
+        monkeypatch.setattr(cli, name, counting)
+    out, csv_dir = tmp_path / "tables.txt", tmp_path / "curves"
+    args = ["ratio-tables", "--grid-step", repr(step), "--out", str(out), "--csv-dir", str(csv_dir)]
+    assert main(args) == 0
+    steps = (step,) if step == 1e-4 else (step, 1e-4)  # the 1e-4 rows once
+    assert len(calls) == len(set(calls)) == 6 * len(steps)
+    monkeypatch.undo()
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 6 * len(steps)
+    assert out.read_text() == cli._constants_table(reproduce_constants(steps))
+    for scheme, fn in (("bfv", approx_ratio_bfv), ("axis", approx_ratio_axis)):
+        for r in (1, 2, 3):
+            csv = (csv_dir / f"{scheme}_r{r}.csv").read_text()
+            assert csv == curve_to_csv(fn(r, step=step))
+
+
 def test_reproduce_constants_reruns_identical():
     rows1 = reproduce_constants()
     rows2 = reproduce_constants()

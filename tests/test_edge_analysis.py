@@ -21,42 +21,32 @@ def test_edge_opt_matches_dense(rng):
 
 
 def test_edge_opt_prod_matches_bloch_search(rng):
-    # max over product states of tr(M rho1 x rho2) for M = aXX+bYY+gZZ:
-    # grid + local polish is avoided; use the dense matrix on separable
-    # rho(u) x rho(v) parameterized by optimizing u for fixed v and iterating.
-    def product_max(a, b, g, rng, restarts=20):
-        M = np.array([a, b, g])
-        best = -np.inf
-        for _ in range(restarts):
-            u = rng.standard_normal(3)
-            v = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            for _ in range(200):
-                # energy = sum_a M_a u_a v_a; optimal u given v is sign-matched
-                c = M * v
-                nu = np.linalg.norm(c)
-                if nu == 0:
-                    break
-                u = c / nu
-                c = M * u
-                nv = np.linalg.norm(c)
-                if nv == 0:
-                    break
-                v = c / nv
-            best = max(best, float(np.sum(M * u * v)))
-        return best
-
-    exceed = 0
-    off = 0
-    for k in range(1000):
-        a, b, g = (float(x) for x in rng.uniform(-1, 1, 3))
-        found = product_max(a, b, g, rng)
-        closed = edge_opt_prod(a, b, g)
-        if found > closed + 1e-9:
-            exceed += 1
-        if abs(found - closed) > 1e-6:
-            off += 1
+    # max over product states of tr(M rho1 x rho2) for M = aXX+bYY+gZZ, that
+    # is max sum_a M_a u_a v_a over unit Bloch vectors u, v: alternate the
+    # optimal u for fixed v and the optimal v for fixed u, from 20 random
+    # starts per triple, all triples and starts at once. A start whose
+    # update has norm 0 stops there.
+    triples, restarts = 1000, 20
+    M = rng.uniform(-1, 1, (triples, 1, 3))
+    u = rng.standard_normal((triples, restarts, 3))
+    v = rng.standard_normal((triples, restarts, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    live = np.ones((triples, restarts, 1), dtype=bool)
+    for _ in range(200):
+        # energy = sum_a M_a u_a v_a; optimal u given v is sign-matched
+        c = M * v
+        nu = np.linalg.norm(c, axis=-1, keepdims=True)
+        live &= nu != 0
+        u = np.where(live, c / np.where(live, nu, 1.0), u)
+        c = M * u
+        nv = np.linalg.norm(c, axis=-1, keepdims=True)
+        live &= nv != 0
+        v = np.where(live, c / np.where(live, nv, 1.0), v)
+    found = np.sum(M * u * v, axis=-1).max(axis=1)
+    closed = np.array([edge_opt_prod(*(float(x) for x in m)) for m in M[:, 0]])
+    exceed = int(np.sum(found > closed + 1e-9))
+    off = int(np.sum(np.abs(found - closed) > 1e-6))
     assert exceed == 0
     assert off <= 10  # restart-limited search may miss in <= 1% of cases
 

@@ -362,28 +362,52 @@ def test_zero_first_draw_redraws_from_own_stream(monkeypatch):
     base = random_instance(rng, n=6, p=0.6)
     inst = Instance(n=6, edges=tuple(Edge(e.i, e.j, e.w, 1, 1, 0) for e in base.edges))
     sol = random_triads(6, rng)
-    real = rounding.rng_for
+    real = rounding.trial_streams
 
     class FirstDrawZero:
-        def __init__(self, gen):
-            self.gen, self.first = gen, True
+        """at(index) of the real streams, with trial 3's first draw read as zero."""
 
-        def standard_normal(self, size):
-            x = self.gen.standard_normal(size)
+        def __init__(self, at):
+            self.at, self.first = at, True
+
+        def __call__(self, index):
+            self.gen = self.at(index)
+            return self if index == 3 else self.gen
+
+        def standard_normal(self, size, out=None):
+            x = self.gen.standard_normal(size, out=out)
             if self.first:
                 self.first = False
-                return np.zeros_like(x)
+                x[...] = 0.0
             return x
 
-    def patched(seed, domain, index):
-        gen = real(seed, domain, index)
-        return FirstDrawZero(gen) if index == 3 else gen
-
     plain = bfv_round(inst, sol, trials=10, seed=1)
-    monkeypatch.setattr(rounding, "rng_for", patched)
+    monkeypatch.setattr(rounding, "trial_streams", lambda seed, domain: FirstDrawZero(real(seed, domain)))
     out = bfv_round(inst, sol, trials=10, seed=1)
     want, _ = one_trial_loop(inst, sol, "bfv", 10, seed=1, skip_first=3)
     got = np.array(out.per_trial_energies)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got[3] != plain.per_trial_energies[3]  # trial 3 used its second draw
     assert np.delete(got, 3).tolist() == np.delete(plain.per_trial_energies, 3).tolist()
+
+
+def test_infeasible_solution_refused():
+    # qubit 1's vectors all zero: every projection of qubit 1 is zero, so
+    # projection rounding would redraw forever
+    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+    V = antipodal_solution(2).vectors.copy()
+    V[1] = 0.0
+    sol = MomentSolution(vectors=V, value=0.0)
+    for rounder in (bfv_round, gw_axis_round):
+        with pytest.raises(ValueError, match="not feasible"):
+            rounder(inst, sol, trials=10)
+
+
+def test_per_trial_energies_held_as_one_array(rng):
+    inst = random_instance(rng, n=5, p=0.8)
+    out = gw_axis_round(inst, random_triads(5, rng), trials=40, seed=3)
+    e = out.trial_energies
+    assert e.dtype == np.float64 and e.shape == (40,)
+    assert not e.flags.writeable
+    assert isinstance(out.per_trial_energies, tuple)
+    assert out.per_trial_energies == tuple(e.tolist())
