@@ -1,6 +1,8 @@
 """Hot numerical kernels, vectorized with numpy.
 
-The block coordinate ascents keep their loop over qubits in Python.
+The block coordinate ascents loop in Python over greedy colour classes, not
+over qubits: a class is an independent set, so one batched update of all its
+qubits is an exact block maximization.
 
 Shared array conventions:
   V    (n, 3, 3n) float64, V[i, k] is the Gram vector of Pauli axis k on qubit i
@@ -10,10 +12,14 @@ Shared array conventions:
   fac  (2m, 3) float64 incidence factors, fac[p, k] = -w_e * coeff_k(e) for the
        edge behind incidence slot p (see instance.incidence)
   nptr (n+1,) int64 / nother (2m,) int64  CSR-style incidence lists
+  A    (3, n, n) float64 dense coupling, A[k, i, j] = sum of fac[p, k] over the
+       incidence slots p of qubit i whose other endpoint is j (colour_classes)
 
 The two ascents take a leading restart axis instead: V (R, n, 3, 3n) and
 B (R, n, 3), updated in place. All restarts sweep in lock-step; each stops on
-its own rule and is frozen from then on.
+its own rule and is frozen from then on. They build A from the incidence
+lists and evaluate their objective as wsum + 1/2 sum_k <W_k, A_k W_k>, one
+matmul; their edge-list arguments (ei, ej, wc3) go unused.
 """
 
 from __future__ import annotations
@@ -50,67 +56,84 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
     return wsum - P.sum(axis=-1)
 
 
+# ------------------------------------------------------------ colour classes
+#
+# Qubits that share no edge do not see each other's block, so updating a whole
+# independent set at once is still an exact block maximization. Both ascents
+# sweep over greedy colour classes; per class, the couplings of every member
+# in every still-active restart come out of one matmul with the class's rows
+# of the dense coupling A.
+
+
+def colour_classes(nptr, nother, fac):
+    """Coupling A (3, n, n) and greedy colour classes [(I, A[:, I])].
+
+    A[k, i, j] sums -w_e * coeff_k(e) over the edges e between i and j
+    (parallel edges add up). Qubits with an edge are coloured in index
+    order, each with the smallest colour none of its neighbours holds, so
+    the classes are deterministic; I lists a class's qubits in index order.
+    """
+    n = nptr.shape[0] - 1
+    deg = np.diff(nptr)
+    flat = np.repeat(np.arange(n) * n, deg) + nother
+    A = np.stack([np.bincount(flat, fac[:, k], n * n) for k in range(3)]).reshape(3, n, n)
+    colour = np.full(n, -1)
+    for i in np.flatnonzero(deg):
+        taken = set(colour[nother[nptr[i] : nptr[i + 1]]].tolist())
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+    classes = [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
+    return A, [(I, np.ascontiguousarray(A[:, I])) for I in classes]
+
+
 # ------------------------------------------------------- SDP coordinate ascent
 #
 # Block update for qubit i: maximize tr(Vi^T C) over 3n x 3 orthonormal frames
-# Vi, with C the coupling matrix gathered from the neighbors. Solved by thin
+# Vi, with C the coupling matrix of its neighbours' vectors. Solved by thin
 # QR of C followed by SVD of the 3x3 R factor (orthogonal Procrustes).
 #
-# Both ascents run every restart in lock-step: one pass over the qubits
-# updates qubit i of all still-active restarts with one einsum (and, for the
-# relaxation, one stacked QR and one stacked SVD). After each sweep every
-# restart applies its own stop rule; a stopped restart is written back and
-# frozen, and later sweeps run on the remaining ones only.
-
-
-def _neighbourhoods(nptr, nother, fac):
-    """(i, neighbour indices, incidence factors) for every qubit with an edge."""
-    return [
-        (i, nother[nptr[i] : nptr[i + 1]], fac[nptr[i] : nptr[i + 1]])
-        for i in range(nptr.shape[0] - 1)
-        if nptr[i + 1] > nptr[i]
-    ]
+# Both ascents run every restart in lock-step: one class update covers every
+# member of the class in every still-active restart with one matmul (and,
+# for the relaxation, one stacked QR and one stacked SVD). After each sweep
+# every restart applies its own stop rule; a stopped restart is written back
+# and frozen, and later sweeps run on the remaining ones only.
 
 
 def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     """Ascend every restart of V (R, n, 3, 3n) in place.
 
     Returns per-restart arrays (obj, sweeps, last_rel, converged, monotone).
-    The objective is evaluated restart by restart into two reused (m, 3, 3n)
-    gather buffers: gathering V[:, ei] at once would hold an (R, m, 3, 3n)
-    temporary, and fresh buffers per call cost more than the arithmetic.
+    The sweeps work on a copy in (R, 3, n, 3n) layout, so that the couplings
+    of a class on axis k are the matmul A[k, I] @ W[:, k].
     """
     R = V.shape[0]
-    nbrs = _neighbourhoods(nptr, nother, fac)
-    gi = np.empty((ei.shape[0],) + V.shape[2:])
-    gj = np.empty_like(gi)
-    wflat = wc3.ravel()
+    A, classes = colour_classes(nptr, nother, fac)
 
     def objectives(W):
-        out = np.empty(W.shape[0])
-        for r in range(W.shape[0]):
-            # mode="clip" lets take write into out= without an extra buffer
-            np.take(W[r], ei, axis=0, out=gi, mode="clip")
-            np.take(W[r], ej, axis=0, out=gj, mode="clip")
-            out[r] = wsum - wflat @ np.einsum("ekd,ekd->ek", gi, gj).ravel()
-        return out
+        return wsum + 0.5 * np.einsum("rknd,rknd->r", W, A @ W)
 
-    obj = objectives(V)
+    W = V.transpose(0, 2, 1, 3).copy()
+    obj = objectives(W)
     sweeps = np.zeros(R, dtype=np.int64)
     last_rel = np.full(R, np.inf)
     converged = np.zeros(R, dtype=bool)
     monotone = np.ones(R, dtype=bool)
     act = np.arange(R)
-    W = V.copy()
     while act.size:
-        for i, others, f in nbrs:
-            C = np.einsum("pk,rpkd->rdk", f, W[:, others])
-            # a zero coupling leaves that restart's triad as it is
-            live = C.any(axis=(1, 2))
-            sel = slice(None) if live.all() else live
-            Q, Rf = np.linalg.qr(C[sel])
+        for I, AI in classes:
+            # couplings (R, |I|, 3n, 3); QR of a zero matrix has R factor 0
+            Q, Rf = np.linalg.qr((AI @ W).transpose(0, 2, 3, 1))
             U3, _, Vt3 = np.linalg.svd(Rf)
-            W[sel, i] = (Q @ (U3 @ Vt3)).transpose(0, 2, 1)
+            T = (Q @ (U3 @ Vt3)).transpose(0, 1, 3, 2)  # new triads (R, |I|, 3, 3n)
+            live = Rf.any(axis=(2, 3))
+            if live.all():
+                W[:, :, I] = T.transpose(0, 2, 1, 3)
+            else:
+                # a (restart, qubit) pair with a zero coupling keeps its triad
+                r, q = np.nonzero(live)
+                W[r, :, I[q]] = T[r, q]
         new = objectives(W)
         old = obj[act]
         sweeps[act] += 1
@@ -122,7 +145,7 @@ def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
         converged[act[done]] = True
         stop = done | (sweeps[act] >= max_sweeps)
         if stop.any():
-            V[act[stop]] = W[stop]
+            V[act[stop]] = W[stop].transpose(0, 2, 1, 3)
             act, W = act[~stop], W[~stop]
     return obj, sweeps, last_rel, converged, monotone
 
@@ -136,26 +159,32 @@ def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
 def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     """Ascend every restart of B (R, n, 3) in place.
 
-    Returns per-restart arrays (energy, sweeps, converged).
+    Returns per-restart arrays (energy, sweeps, converged). The sweeps work
+    on a copy in (3, n, R) layout, so that the local fields of a class on
+    axis k are one matmul A[k, I] @ W[k] for all restarts.
     """
     R = B.shape[0]
-    nbrs = _neighbourhoods(nptr, nother, fac)
+    A, classes = colour_classes(nptr, nother, fac)
 
     def energies(W):
-        return wsum - np.einsum("ek,rek->r", wc3, W[:, ei] * W[:, ej])
+        return wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)
 
-    energy = energies(B)
+    W = B.transpose(2, 1, 0).copy()
+    energy = energies(W)
     sweeps = np.zeros(R, dtype=np.int64)
     converged = np.zeros(R, dtype=bool)
     act = np.arange(R)
-    W = B.copy()
     while act.size:
-        for i, others, f in nbrs:
-            c = np.einsum("pk,rpk->rk", f, W[:, others])
-            nc = np.sqrt(np.einsum("rk,rk->r", c, c))
+        for I, AI in classes:
+            c = AI @ W  # (3, |I|, R)
+            nc = np.sqrt(np.einsum("kir,kir->ir", c, c))
             live = nc > 0.0
-            sel = slice(None) if live.all() else live
-            W[sel, i] = c[sel] / nc[sel, None]
+            if live.all():
+                W[:, I] = c / nc
+            else:
+                # a (qubit, restart) pair with a zero field keeps its vector
+                q, r = np.nonzero(live)
+                W[:, I[q], r] = c[:, q, r] / nc[q, r]
         new = energies(W)
         gain = new - energy[act]
         sweeps[act] += 1
@@ -164,8 +193,8 @@ def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
         converged[act[done]] = True
         stop = done | (sweeps[act] >= max_sweeps)
         if stop.any():
-            B[act[stop]] = W[stop]
-            act, W = act[~stop], W[~stop]
+            B[act[stop]] = W[:, :, stop].transpose(2, 1, 0)
+            act, W = act[~stop], W[:, :, ~stop]
     return energy, sweeps, converged
 
 

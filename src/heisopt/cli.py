@@ -38,7 +38,7 @@ from .moment_sdp import (
 from .oracle import OracleLimitError, best_product_state, exact_max_eigenvalue
 from .pauli import reduce_instance
 from .ratio_numerics import approx_ratio_axis, approx_ratio_bfv, curve_to_csv
-from .rounding import bfv_round, gw_axis_round
+from .rounding import bfv_round, gw_axis_round, projection_family
 
 __all__ = ["RatioReport", "run_pipeline", "reproduce_constants", "main"]
 
@@ -103,7 +103,17 @@ def run_pipeline(
     threads: int = 1,
     oracle: bool = False,
 ) -> RatioReport:
-    """Solve the relaxation, round it, optionally attach exact references."""
+    """Solve the relaxation, round it, optionally attach exact references.
+
+    An unknown scheme, trials < 1 and a bfv run on an instance that is not
+    family-uniform raise ValueError before the solve.
+    """
+    if scheme not in ("bfv", "axis"):
+        raise ValueError(f"unknown rounding scheme {scheme!r}: expected 'bfv' or 'axis'")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if scheme == "bfv":
+        projection_family(inst)
     cfg = SolverConfig(restarts=restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     rounder = bfv_round if scheme == "bfv" else gw_axis_round

@@ -22,10 +22,14 @@ which SolveDiagnostics.warm_start_energy reports. The other restarts start
 from random triads.
 
 All restarts run as one lock-step batch over a leading restart axis,
-V of shape (R, n, 3, 3n): each sweep updates qubit i of every still-active
-restart with one stacked QR and one stacked SVD. Each restart keeps its own
-stop rule (relative gain below sweep_tolerance, or max_sweeps) and its own
-monotonicity check; a restart that has stopped is frozen.
+V of shape (R, n, 3, 3n). A sweep visits greedy colour classes of the
+qubits: a class shares no edge, so its qubits' blocks are independent and
+one batched update is still an exact block maximization. Per class, the
+couplings of every member in every still-active restart are one matmul with
+the class's rows of the dense coupling, followed by one stacked QR and one
+stacked SVD. Each restart keeps its own stop rule (relative gain below
+sweep_tolerance, or max_sweeps) and its own monotonicity check; a restart
+that has stopped is frozen.
 """
 
 from __future__ import annotations
@@ -138,11 +142,9 @@ def _embed_product(bloch: np.ndarray) -> np.ndarray:
 
 
 def _random_triads(n: int, rng) -> np.ndarray:
-    V = np.empty((n, 3, 3 * n))
-    for i in range(n):
-        Q, _ = np.linalg.qr(rng.standard_normal((3 * n, 3)))
-        V[i] = Q.T
-    return V
+    """One random orthonormal triad per qubit: Q factors of Gaussian 3n x 3 draws."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, 3 * n, 3)))
+    return Q.transpose(0, 2, 1)
 
 
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:

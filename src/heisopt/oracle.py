@@ -16,6 +16,8 @@ Plus a Bloch-vector coordinate-ascent search for the best product state,
 used both as a reference point and as the solver's warm start. Its restarts
 run as one lock-step batch over a leading restart axis (B of shape
 (R, n, 3)); each restart keeps its own Philox start and its own stop rule.
+A sweep sets the Bloch vectors one greedy colour class at a time (qubits
+that share no edge), every restart at once with one matmul per class.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def best_product_state(
 
     Each sweep sets every Bloch vector to the normalized local field
     c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
-    the energy; a restart stops once a full pass gains less than tol, or at
+    the energy, one colour class of qubits at a time; a restart stops once a full pass gains less than tol, or at
     max_sweeps. All restarts run as one lock-step batch. `sweeps` is their
     total and `capped` counts those stopped by max_sweeps, which also logs a
     warning on the "heisopt" logger.

@@ -51,7 +51,7 @@ import numpy as np
 
 from ._backend import DOMAIN_ROUNDING, rng_for, trial_streams
 from ._kernels import product_energy_kernel
-from .instance import Edge, Instance, is_family_uniform
+from .instance import Edge, FamilyTag, Instance, is_family_uniform
 from .moment_sdp import MomentSolution, check_feasibility
 from .pauli import ProductState
 
@@ -136,6 +136,17 @@ def split_instance(inst: Instance) -> Instance:
     return Instance(n=inst.n, edges=tuple(edges), label=inst.label, offset=inst.offset)
 
 
+def projection_family(inst: Instance) -> FamilyTag:
+    """The coefficient pattern bfv_round projects onto; ValueError if none."""
+    tag = is_family_uniform(inst)
+    if tag is None:
+        raise ValueError(
+            "projection rounding needs a family-uniform instance: every edge "
+            "must carry the same {0,1} coefficient pattern, at least one axis on"
+        )
+    return tag
+
+
 def _check_solution(inst: Instance, sol: MomentSolution) -> None:
     """Refuse a point of the wrong size or an infeasible one.
 
@@ -213,12 +224,7 @@ def bfv_round(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    tag = is_family_uniform(inst)
-    if tag is None:
-        raise ValueError(
-            "projection rounding needs a family-uniform instance: every edge "
-            "must carry the same {0,1} coefficient pattern, at least one axis on"
-        )
+    tag = projection_family(inst)
     _check_solution(inst, sol)
     active = list(tag.active_axes)
     r = tag.r

@@ -2,7 +2,9 @@
 
 The references below run one restart at a time with the stop rules of
 best_product_state and solve_moment_sdp, so every restart of the batch can
-be compared with its own independent run.
+be compared with its own independent run. They update one qubit at a time,
+in the kernels' colour-class order: a class shares no edge, so updating its
+qubits one by one reaches the same point as the kernels' batched update.
 """
 
 import logging
@@ -15,6 +17,7 @@ from conftest import random_instance
 from heisopt import (
     Edge,
     Instance,
+    MomentSolution,
     SolverConfig,
     best_product_state,
     check_feasibility,
@@ -37,6 +40,12 @@ def _neighbours(inst, i):
     return out
 
 
+def _class_order(inst):
+    """The qubits with an edge, class by class as the kernels visit them."""
+    _, classes = _kernels.colour_classes(*inst.incidence())
+    return [int(i) for I, _ in classes for i in I]
+
+
 def _product_energy(inst, B):
     return sum(
         e.w * (1.0 - e.alpha * B[e.i, 0] * B[e.j, 0] - e.beta * B[e.i, 1] * B[e.j, 1]
@@ -55,8 +64,9 @@ def _relaxation_value(inst, V):
 
 def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
     energy = _product_energy(inst, B)
+    order = _class_order(inst)
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(inst.n):
+        for i in order:
             c = -sum((coef * B[j] for j, coef in _neighbours(inst, i)), np.zeros(3))
             if np.linalg.norm(c) > 0.0:
                 B[i] = c / np.linalg.norm(c)
@@ -69,8 +79,9 @@ def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
 
 def one_restart_relaxation(inst, V, max_sweeps=10000, tol=1e-10):
     obj = _relaxation_value(inst, V) - inst.offset
+    order = _class_order(inst)
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(inst.n):
+        for i in order:
             C = -sum((V[j].T * coef for j, coef in _neighbours(inst, i)), np.zeros((3 * inst.n, 3)))
             if not C.any():
                 continue
@@ -188,3 +199,69 @@ def test_skipped_qubits_stay_feasible(edges):
     ps = best_product_state(inst, restarts=6, seed=3)
     assert np.allclose(np.linalg.norm(ps.state.bloch, axis=1), 1.0)
     assert _product_energy(inst, ps.state.bloch) == pytest.approx(ps.energy, abs=1e-12)
+
+
+def test_colour_classes_partition_edge_qubits_into_independent_sets(rng):
+    for _ in range(6):
+        inst = random_instance(rng, n=int(rng.integers(2, 12)), p=float(rng.uniform(0.1, 0.8)))
+        A, classes = _kernels.colour_classes(*inst.incidence())
+        edges = {(e.i, e.j) for e in inst.edges}
+        for I, AI in classes:
+            members = set(I.tolist())
+            assert not any(i in members and j in members for i, j in edges)
+            assert np.array_equal(I, np.sort(I))
+            assert np.array_equal(AI, A[:, I])
+        coloured = np.concatenate([I for I, _ in classes])
+        assert len(coloured) == len(set(coloured.tolist()))
+        assert set(coloured.tolist()) == {q for e in edges for q in e}
+        # the same classes, and the same coupling, on every call
+        A2, again = _kernels.colour_classes(*inst.incidence())
+        assert np.array_equal(A, A2)
+        assert len(again) == len(classes)
+        assert all(np.array_equal(I, J) for (I, _), (J, _) in zip(classes, again))
+
+
+def test_coupling_sums_parallel_edges():
+    inst = Instance(
+        n=3,
+        edges=(Edge(0, 1, 1.0, 1, 0.5, -1), Edge(1, 2, 0.3, 0, 1, 1), Edge(0, 1, 0.5, -0.2, 1, 0.4)),
+    )
+    A, classes = _kernels.colour_classes(*inst.incidence())
+    expect = np.zeros((3, 3, 3))
+    for e in inst.edges:
+        c = -e.w * np.array([e.alpha, e.beta, e.gamma])
+        expect[:, e.i, e.j] += c
+        expect[:, e.j, e.i] += c
+    assert np.array_equal(A, expect)
+    assert [I.tolist() for I, _ in classes] == [[0, 2], [1]]
+
+
+# Qubit 0 sits between qubits 1 and 2 on equal edges, so its coupling is zero
+# wherever v_2 = -v_1; qubit 3 hangs off qubit 1 and shares qubit 0's class.
+_STAR = Instance(
+    n=4, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(0, 2, 1.0, 1, 1, 1), Edge(1, 3, 0.6, 1, 0.5, 1))
+)
+
+
+def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
+    _, classes = _kernels.colour_classes(*_STAR.incidence())
+    assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
+    V = np.stack([_random_triads(4, rng_for(5, DOMAIN_SOLVER, k)) for k in range(3)])
+    V[1, 2] = -V[1, 1]
+    start = V.copy()
+    ei, ej, w, wc3 = _STAR.arrays()
+    _kernels.sdp_sweeps(V, *_STAR.incidence(), ei, ej, wc3, float(w.sum()), 1, 1e-10)
+    assert np.array_equal(V[1, 0], start[1, 0])
+    for r, i in ((0, 0), (2, 0), (1, 3)):
+        assert not np.array_equal(V[r, i], start[r, i])
+    for r in range(3):
+        assert check_feasibility(MomentSolution(vectors=V[r], value=0.0)).passed
+
+    B = np.stack(product_starts(_STAR, 3, 5))
+    B[1, 2] = -B[1, 1]
+    start = B.copy()
+    _kernels.ascent_sweeps(B, *_STAR.incidence(), ei, ej, wc3, float(w.sum()), 1, 1e-12)
+    assert np.array_equal(B[1, 0], start[1, 0])
+    for r, i in ((0, 0), (2, 0), (1, 3)):
+        assert not np.array_equal(B[r, i], start[r, i])
+    assert np.allclose(np.linalg.norm(B, axis=2), 1.0)

@@ -247,3 +247,49 @@ def test_oracle_pipeline_runs_one_product_search(monkeypatch):
         report = cli.run_pipeline(inst, scheme="axis", trials=20, seed=seed, restarts=2, oracle=True)
         assert calls == ["heisopt.moment_sdp"]
         assert report.best_product_energy == oracle.best_product_state(inst, seed=seed).energy
+
+
+def test_pipeline_refuses_bad_arguments_before_solving(monkeypatch):
+    from heisopt import Edge, Instance, cli
+
+    calls = []
+    solve = cli.solve_moment_sdp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_moment_sdp", counting)
+    xyz = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.5, 1, 1, 1)))
+    mixed = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.5, 1, 0, 1)))
+    bad = [
+        (xyz, dict(scheme="BFV"), "unknown rounding scheme"),
+        (xyz, dict(scheme="gw"), "unknown rounding scheme"),
+        (xyz, dict(trials=0), "at least one trial"),
+        (mixed, dict(scheme="axis", trials=-3), "at least one trial"),
+        (mixed, dict(scheme="bfv"), "family-uniform"),
+    ]
+    for inst, kwargs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            cli.run_pipeline(inst, **kwargs)
+    assert calls == []
+    assert cli.run_pipeline(mixed, scheme="axis", trials=5).scheme == "axis"
+    assert cli.run_pipeline(xyz, scheme="bfv", trials=5).scheme == "bfv"
+    assert len(calls) == 2
+
+
+def test_pipeline_report_independent_of_blas_threads(tmp_path):
+    # the sweeps run through BLAS gemm; its thread count must not change a bit
+    inst = tmp_path / "g40.txt"
+    gen = ["gen", "random_gnp", "--n", "40", "--p", "0.3", "--family", "1", "1", "1", "--seed", "5"]
+    assert main([*gen, "--out", str(inst)]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        res = run_cli(
+            ["pipeline", str(inst), "--trials", "200", "--seed", "3", "--out", str(out)],
+            env_extra={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert res.returncode == 0, res.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -193,3 +193,18 @@ def test_warm_start_uses_configured_seed(monkeypatch):
     inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 0), Edge(1, 2, 1.0, 0, 1, 1)))
     solve_moment_sdp(inst, SolverConfig(restarts=2, seed=7))
     assert seen == [7]
+
+
+@pytest.mark.parametrize("n", [3, 9, 40, 120])
+def test_random_triads_match_per_qubit_qr_bitwise(n):
+    from heisopt._backend import DOMAIN_SOLVER, rng_for
+    from heisopt.moment_sdp import _random_triads
+
+    for k in (1, 4):
+        rng = rng_for(11, DOMAIN_SOLVER, k)
+        expect = np.empty((n, 3, 3 * n))
+        for i in range(n):
+            Q, _ = np.linalg.qr(rng.standard_normal((3 * n, 3)))
+            expect[i] = Q.T
+        got = _random_triads(n, rng_for(11, DOMAIN_SOLVER, k))
+        assert np.array_equal(got, expect)
