@@ -5,8 +5,9 @@ on weighted multigraphs, solves their level-1 moment relaxation by
 block-coordinate ascent over per-qubit Gram triads, rounds the relaxation
 to product states by Gaussian projection or single-axis hyperplane cuts,
 and certifies per-instance approximation ratios against the relaxation
-value (always an upper bound on lambda_max) or, for small n, against
-exact oracles.
+value or, for small n, against exact oracles. The relaxation value bounds
+lambda_max from above at the optimum; the solver also reports a dual bound
+on that optimum, which holds at any iterate.
 """
 
 from .edge_analysis import (

@@ -17,9 +17,9 @@ Shared array conventions:
 
 The two ascents take a leading restart axis instead: V (R, n, 3, 3n) and
 B (R, n, 3), updated in place. All restarts sweep in lock-step; each stops on
-its own rule and is frozen from then on. They build A from the incidence
-lists and evaluate their objective as wsum + 1/2 sum_k <W_k, A_k W_k>, one
-matmul; their edge-list arguments (ei, ej, wc3) go unused.
+its own rule and is frozen from then on. They take A and its colour classes
+from colour_classes and evaluate their objective as
+wsum + 1/2 sum_k <W_k, A_k W_k>, one matmul.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def colour_classes(nptr, nother, fac):
 # and frozen, and later sweeps run on the remaining ones only.
 
 
-def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
+def sdp_sweeps(V, A, classes, wsum, max_sweeps, tol):
     """Ascend every restart of V (R, n, 3, 3n) in place.
 
     Returns per-restart arrays (obj, sweeps, last_rel, converged, monotone).
@@ -109,7 +109,6 @@ def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     of a class on axis k are the matmul A[k, I] @ W[:, k].
     """
     R = V.shape[0]
-    A, classes = colour_classes(nptr, nother, fac)
 
     def objectives(W):
         return wsum + 0.5 * np.einsum("rknd,rknd->r", W, A @ W)
@@ -150,13 +149,39 @@ def sdp_sweeps(V, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     return obj, sweeps, last_rel, converged, monotone
 
 
+# ------------------------------------------------------------- SDP dual bound
+#
+# With C the 3n x 3n coupling, C[(i,k),(j,k)] = A[k, i, j] / 2, the relaxation
+# is max wsum + <C, X> over PSD X whose 3x3 diagonal blocks are I. For any
+# symmetric 3x3 blocks Lambda_i and S = blkdiag(Lambda) - C, every such X has
+# <C, X> = sum_i tr Lambda_i - <S, X> <= sum_i tr Lambda_i + 3n max(0, -lambda_min(S)),
+# since tr X = 3n. Lambda_i = sym((C V)_i V_i^T) makes sum_i tr Lambda_i the
+# objective at V, so the bound meets the objective at an optimum (Boumal,
+# Voroninski & Bandeira 2016, arXiv:1606.04970).
+
+
+def sdp_dual_bound(V, A, wsum):
+    """Upper bound on the relaxation optimum, from any feasible V (n, 3, 3n)."""
+    n = V.shape[0]
+    CV = 0.5 * (A @ V.transpose(1, 0, 2))  # (3, n, 3n): row (i, k) at [k, i]
+    M = np.einsum("kid,ild->ikl", CV, V)
+    Lam = 0.5 * (M + M.transpose(0, 2, 1))
+    S = np.zeros((n, 3, n, 3))
+    for k in range(3):
+        S[:, k, :, k] = -0.5 * A[k]
+    q = np.arange(n)
+    S[q, :, q, :] += Lam
+    mu = float(np.linalg.eigvalsh(S.reshape(3 * n, 3 * n))[0])
+    return wsum + float(np.einsum("ikk->", Lam)) + 3 * n * max(0.0, -mu)
+
+
 # ------------------------------------------------------ Bloch coordinate ascent
 #
 # Energy is linear in each Bloch vector with the others fixed, so the block
 # optimum is the normalized coefficient vector.
 
 
-def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
+def ascent_sweeps(B, A, classes, wsum, max_sweeps, tol):
     """Ascend every restart of B (R, n, 3) in place.
 
     Returns per-restart arrays (energy, sweeps, converged). The sweeps work
@@ -164,7 +189,6 @@ def ascent_sweeps(B, nptr, nother, fac, ei, ej, wc3, wsum, max_sweeps, tol):
     axis k are one matmul A[k, I] @ W[k] for all restarts.
     """
     R = B.shape[0]
-    A, classes = colour_classes(nptr, nother, fac)
 
     def energies(W):
         return wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)

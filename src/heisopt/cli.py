@@ -25,10 +25,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from .edge_analysis import product_ratio_bound
 from .instance import Instance, ParseError, generate, parse_instance_file, serialize_instance
 from .moment_sdp import (
-    MomentSolution,
     SolverConfig,
     check_feasibility,
     parse_moment_solution,
@@ -57,12 +55,12 @@ class RatioReport:
     m: int
     scheme: str
     sdp_value: float
+    sdp_upper_bound: float
     rounded_energy: float
     certified_ratio: float
     trials: int
     seed: int
     restarts: int
-    threads: int
     solver_converged: bool
     lambda_max: float | None = None
     oracle_method: str | None = None
@@ -100,7 +98,6 @@ def run_pipeline(
     trials: int = 100,
     seed: int = 0,
     restarts: int = 5,
-    threads: int = 1,
     oracle: bool = False,
 ) -> RatioReport:
     """Solve the relaxation, round it, optionally attach exact references.
@@ -117,15 +114,14 @@ def run_pipeline(
     cfg = SolverConfig(restarts=restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     rounder = bfv_round if scheme == "bfv" else gw_axis_round
-    outcome = rounder(inst, sol, trials=trials, seed=seed, threads=threads)
+    outcome = rounder(inst, sol, trials=trials, seed=seed)
 
     lam = method = best_prod = true_ratio = prod_ratio = None
     if oracle:
         exact = exact_max_eigenvalue(inst)
         lam = exact.lambda_max
         method = exact.method
-        # the solver's warm start is best_product_state(inst, seed=seed)
-        best_prod = sol.diagnostics.warm_start_energy
+        best_prod = best_product_state(inst, seed=seed).energy
         if lam > 0:
             true_ratio = outcome.energy / lam
             prod_ratio = best_prod / lam
@@ -136,12 +132,12 @@ def run_pipeline(
         m=inst.m,
         scheme=scheme,
         sdp_value=sol.value,
+        sdp_upper_bound=sol.diagnostics.upper_bound,
         rounded_energy=outcome.energy,
         certified_ratio=outcome.energy / sol.value if sol.value != 0 else 0.0,
         trials=trials,
         seed=seed,
         restarts=restarts,
-        threads=threads,
         solver_converged=sol.diagnostics.converged,
         lambda_max=lam,
         oracle_method=method,
@@ -210,6 +206,7 @@ def _cmd_solve(args) -> int:
         "max_norm_deviation": feas.max_norm_deviation,
         "max_orthogonality_deviation": feas.max_orthogonality_deviation,
         "restarts": diag.restarts,
+        "sdp_upper_bound": diag.upper_bound,
         "sdp_value": sol.value,
         "total_sweeps": diag.total_sweeps,
     }
@@ -223,7 +220,7 @@ def _cmd_round(args) -> int:
     with open(args.solution) as fh:
         sol = parse_moment_solution(fh.read())
     rounder = bfv_round if args.scheme == "bfv" else gw_axis_round
-    outcome = rounder(inst, sol, trials=args.trials, seed=seed, threads=args.threads)
+    outcome = rounder(inst, sol, trials=args.trials, seed=seed)
     payload = {
         "energy": outcome.energy,
         "label": inst.label,
@@ -298,26 +295,17 @@ def _cmd_pipeline(args) -> int:
         trials=args.trials,
         seed=seed,
         restarts=args.restarts,
-        threads=args.threads,
         oracle=(args.oracle == "on"),
     )
     _write(args.out, report.to_json())
     return EXIT_OK if report.solver_converged else EXIT_NONCONVERGED
 
 
-def _add_common(p, *, seed=True, out=True, threads=False, restarts=None):
+def _add_common(p, *, seed=True, out=True, restarts=None):
     if seed:
         p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: HEIS_DEFAULT_SEED or 0)")
     if out:
         p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
-    if threads:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="kept for compatibility and reported; rounding runs no thread pool, "
-            "so results and speed are the same at any count",
-        )
     if restarts is not None:
         p.add_argument("--restarts", type=int, default=restarts)
 
@@ -347,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("solution")
     p.add_argument("--scheme", choices=["bfv", "axis"], default="bfv")
     p.add_argument("--trials", type=int, default=100)
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_round)
 
     p = sub.add_parser("exact", help="exact eigenvalue and product-state oracles")
@@ -371,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["bfv", "axis"], default="bfv")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--oracle", choices=["on", "off"], default="off")
-    _add_common(p, threads=True, restarts=5)
+    _add_common(p, restarts=5)
     p.set_defaults(fn=_cmd_pipeline)
 
     return ap

@@ -15,11 +15,13 @@ thin QR of the 3n x 3 coupling matrix and an SVD of its 3x3 R factor. At
 full rank the Gram vectors are already the factor a Cholesky step would
 extract, so none is needed.
 
-Restart 0 is warm-started from a heuristic best product state (searched with
-SolverConfig.seed) embedded as mutually orthogonal triads; the ascent is
-monotone, so the solver value always dominates that product state's energy,
-which SolveDiagnostics.warm_start_energy reports. The other restarts start
-from random triads.
+Restart k starts from random triads drawn from rng_for(SolverConfig.seed,
+DOMAIN_SOLVER, k). The value of the best restart is a feasible point's
+objective, so it bounds lambda_max from above only at the optimum; the solve
+also evaluates a dual bound at that point (_kernels.sdp_dual_bound), which
+bounds the relaxation optimum, and hence lambda_max and every product
+state's energy, whether or not the ascent converged. SolveDiagnostics
+reports it as upper_bound.
 
 All restarts run as one lock-step batch over a leading restart axis,
 V of shape (R, n, 3, 3n). A sweep visits greedy colour classes of the
@@ -42,7 +44,9 @@ import numpy as np
 from . import _kernels
 from ._backend import DOMAIN_SOLVER, rng_for
 from .instance import Instance
-from .oracle import best_product_state
+# best_product_state is not called here; perfbench's traced run wraps
+# moment_sdp.best_product_state.
+from .oracle import best_product_state  # noqa: F401
 
 log = logging.getLogger("heisopt")
 
@@ -85,8 +89,8 @@ class SolveDiagnostics:
     converged: bool
     restart_values: tuple[float, ...]
     capped: int
-    # energy of the warm start: best_product_state(inst, seed=cfg.seed)
-    warm_start_energy: float
+    # dual bound on the relaxation optimum at the best restart's vectors
+    upper_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,32 +119,6 @@ class FeasibilityReport:
     passed: bool
 
 
-def _embed_product(bloch: np.ndarray) -> np.ndarray:
-    """Product state as Gram triads: component 0 shared, the rest per qubit.
-
-    v_{i,k}[0] = r_{i,k}, v_{i,k}[1+2i] = s_{i,k}, v_{i,k}[2+2i] = t_{i,k}
-    with (r_i, s_i, t_i) an orthonormal basis of R^3. Cross-qubit inner
-    products then equal r_{i,k} r_{j,l}, so the SDP objective at this point
-    is exactly the product-state energy.
-    """
-    n = bloch.shape[0]
-    V = np.zeros((n, 3, 3 * n))
-    for i in range(n):
-        r = bloch[i].astype(float).copy()
-        nr = np.linalg.norm(r)
-        r = r / nr if nr > 1e-12 else np.array([0.0, 0.0, 1.0])
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(r)))] = 1.0
-        s = e - (e @ r) * r
-        s /= np.linalg.norm(s)
-        t = np.cross(r, s)
-        for k in range(3):
-            V[i, k, 0] = r[k]
-            V[i, k, 1 + 2 * i] = s[k]
-            V[i, k, 2 + 2 * i] = t[k]
-    return V
-
-
 def _random_triads(n: int, rng) -> np.ndarray:
     """One random orthonormal triad per qubit: Q factors of Gaussian 3n x 3 draws."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, 3 * n, 3)))
@@ -152,21 +130,18 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
 
     All restarts run as one lock-step batch; restarts that stop at
     cfg.max_sweeps are counted in diagnostics.capped and logged as a warning
-    on the "heisopt" logger.
+    on the "heisopt" logger. diagnostics.upper_bound is the dual bound at the
+    returned vectors, valid whether or not they converged.
     """
     cfg = cfg or SolverConfig()
-    ei, ej, w, wc3 = inst.arrays()
-    nptr, nother, fac = inst.incidence()
-    wsum = float(w.sum())
+    wsum = float(inst.arrays()[2].sum())
+    A, classes = _kernels.colour_classes(*inst.incidence())
 
-    warm = best_product_state(inst, seed=cfg.seed)
     V = np.empty((cfg.restarts, inst.n, 3, 3 * inst.n))
-    V[0] = _embed_product(warm.state.bloch)
-    for k in range(1, cfg.restarts):
+    for k in range(cfg.restarts):
         V[k] = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
-
     obj, sweeps, rel, converged, monotone = _kernels.sdp_sweeps(
-        V, nptr, nother, fac, ei, ej, wc3, wsum, cfg.max_sweeps, cfg.sweep_tolerance
+        V, A, classes, wsum, cfg.max_sweeps, cfg.sweep_tolerance
     )
     if not monotone.all():
         raise RuntimeError("sweep objective decreased; ascent invariant violated")
@@ -187,7 +162,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
         converged=bool(converged[best]),
         restart_values=tuple(float(v) + inst.offset for v in obj),
         capped=capped,
-        warm_start_energy=warm.energy,
+        upper_bound=_kernels.sdp_dual_bound(V[best], A, wsum) + inst.offset,
     )
     return MomentSolution(
         vectors=V[best].copy(), value=float(obj[best]) + inst.offset, diagnostics=diag

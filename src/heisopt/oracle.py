@@ -13,7 +13,7 @@ ExactResult.method:
 Both stop at MAX_QUBITS; larger instances raise OracleLimitError.
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
-used both as a reference point and as the solver's warm start. Its restarts
+the reference point that an oracle pipeline reports. Its restarts
 run as one lock-step batch over a leading restart axis (B of shape
 (R, n, 3)); each restart keeps its own Philox start and its own stop rule.
 A sweep sets the Bloch vectors one greedy colour class at a time (qubits
@@ -161,9 +161,8 @@ def best_product_state(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    ei, ej, w, wc3 = inst.arrays()
-    nptr, nother, fac = inst.incidence()
-    ident = float(w.sum() + inst.offset)
+    ident = float(inst.arrays()[2].sum() + inst.offset)
+    A, classes = _kernels.colour_classes(*inst.incidence())
 
     B = np.empty((restarts, inst.n, 3))
     for k in range(restarts):
@@ -175,9 +174,7 @@ def best_product_state(
             Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
             norms = np.linalg.norm(Bk, axis=1)
         B[k] = Bk / norms[:, None]
-    energy, sweeps, converged = _kernels.ascent_sweeps(
-        B, nptr, nother, fac, ei, ej, wc3, ident, max_sweeps, tol
-    )
+    energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, ident, max_sweeps, tol)
     best = int(np.argmax(energy))
     capped = int(restarts - converged.sum())
     if capped:

@@ -30,12 +30,11 @@ once and scores its trials with the product-energy kernel, which sums each
 trial's edge terms in the same order wherever the trial sits. The block
 holds as many trials as fit _BLOCK_BYTES of draws, (b, r, r*3n) float64,
 and the kernel takes as many at a time as fit the same budget of edge
-terms, (c, 3m) float64, so both sizes depend on the graph only, never on
-`threads`, and the temporaries stay bounded at any size. The axis scheme
-is the r = 1 case, which keeps bfv at rank 1 on exactly the axis scheme's
-draws and arithmetic. `threads` is kept in the signatures but runs no
-pool: the work is numpy calls that hold the interpreter lock, and a thread
-pool over blocks measured slower than one thread.
+terms, (c, 3m) float64, so both sizes depend on the graph only and the
+temporaries stay bounded at any size. The axis scheme is the r = 1 case,
+which keeps bfv at rank 1 on exactly the axis scheme's draws and
+arithmetic. Rounding runs in one thread: the work is numpy calls that hold
+the interpreter lock, and a thread pool over blocks measured slower.
 
 The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
@@ -219,8 +218,7 @@ def bfv_round(
 ) -> RoundingOutcome:
     """Gaussian projection rounding onto the active axes.
 
-    `threads` is accepted for compatibility; it changes neither the result
-    nor the speed.
+    `threads` is accepted and ignored.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -255,8 +253,7 @@ def gw_axis_round(
 ) -> RoundingOutcome:
     """Hyperplane rounding on the single most valuable axis.
 
-    `threads` is accepted for compatibility; it changes neither the result
-    nor the speed.
+    `threads` is accepted and ignored.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -131,7 +131,7 @@ def test_criterion_3_single_edge_ratios():
 def test_criterion_4_relaxation_soundness(rng):
     t0 = time.perf_counter()
     count = 200
-    violations = 0
+    violations = bound_violations = 0
     for k in range(count):
         style = ("family", "corner", "arbitrary")[k % 3]
         inst = random_instance(rng, n=int(rng.integers(2, 11)), coeffs=style)
@@ -139,10 +139,17 @@ def test_criterion_4_relaxation_soundness(rng):
         lam = exact_max_eigenvalue(inst).lambda_max
         if sol.value < lam - 1e-5 * (1.0 + abs(lam)):
             violations += 1
+        if sol.diagnostics.upper_bound < lam - 1e-12 * (1.0 + abs(lam)):
+            bound_violations += 1
     elapsed = time.perf_counter() - t0
     assert violations == 0
+    assert bound_violations == 0
     assert elapsed < 600.0
-    report(4, f"SDP value dominated lambda_max on {count}/{count} instances ({elapsed:.0f}s)")
+    report(
+        4,
+        f"SDP value and dual bound dominated lambda_max on {count}/{count} instances "
+        f"({elapsed:.0f}s)",
+    )
 
 
 def test_criterion_5_rounding_guarantees(rng):
@@ -288,11 +295,11 @@ def test_criterion_10_determinism(tmp_path):
     inst_path = tmp_path / "inst.txt"
     assert main(["gen", "random_gnp", "--n", "7", "--p", "0.5", "--seed", "11", "--out", str(inst_path)]) == 0
     for scheme in ("bfv", "axis"):
-        for extra in ([], ["--oracle", "on"], ["--threads", "3"]):
+        for extra in ([], ["--oracle", "on"]):
             a = tmp_path / f"{scheme}{len(extra)}a.json"
             b = tmp_path / f"{scheme}{len(extra)}b.json"
             args = ["pipeline", str(inst_path), "--scheme", scheme, "--trials", "60", "--seed", "2", *extra]
             assert main([*args, "--out", str(a)]) == 0
             assert main([*args, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes(), (scheme, extra)
-    report(10, "byte-identical reports for repeated runs across schemes, oracle, and thread flags")
+    report(10, "byte-identical reports for repeated runs across schemes and oracle flags")

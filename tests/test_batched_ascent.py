@@ -25,7 +25,7 @@ from heisopt import (
 )
 from heisopt import _kernels
 from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for
-from heisopt.moment_sdp import _embed_product, _random_triads
+from heisopt.moment_sdp import _random_triads
 
 
 def _neighbours(inst, i):
@@ -111,11 +111,9 @@ def test_product_search_matches_one_restart_loop(rng):
         ref = [one_restart_ascent(inst, B) for B in product_starts(inst, restarts, seed)]
 
         B = np.stack(product_starts(inst, restarts, seed))
-        ei, ej, w, wc3 = inst.arrays()
-        nptr, nother, fac = inst.incidence()
-        energy, sweeps, converged = _kernels.ascent_sweeps(
-            B, nptr, nother, fac, ei, ej, wc3, float(w.sum() + inst.offset), 10000, 1e-12
-        )
+        A, classes = _kernels.colour_classes(*inst.incidence())
+        wsum = float(inst.arrays()[2].sum() + inst.offset)
+        energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, wsum, 10000, 1e-12)
         assert converged.all()
         for k, (ref_energy, ref_sweeps) in enumerate(ref):
             assert energy[k] == pytest.approx(ref_energy, rel=1e-9, abs=1e-9)
@@ -134,10 +132,8 @@ def test_relaxation_matches_one_restart_loop(rng):
     for _ in range(3):
         inst = random_instance(rng, n=int(rng.integers(3, 6)))
         cfg = SolverConfig(restarts=3, seed=int(rng.integers(100)))
-        warm = best_product_state(inst, seed=cfg.seed)
-        starts = [_embed_product(warm.state.bloch)] + [
-            _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
-            for k in range(1, cfg.restarts)
+        starts = [
+            _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k)) for k in range(cfg.restarts)
         ]
         ref = [one_restart_relaxation(inst, V) for V in starts]
 
@@ -192,10 +188,10 @@ def test_skipped_qubits_stay_feasible(edges):
     sol = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=3))
     assert check_feasibility(sol).passed
     assert sol.diagnostics.converged
-    # qubit 3 has no coupling, so its warm-start triad is never touched
+    # qubit 3 has no coupling, so restart 0's random triad is never touched
     sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=3))
-    warm = _embed_product(best_product_state(inst, seed=3).state.bloch)
-    assert np.array_equal(sol.vectors[3], warm[3])
+    start = _random_triads(4, rng_for(3, DOMAIN_SOLVER, 0))
+    assert np.array_equal(sol.vectors[3], start[3])
     ps = best_product_state(inst, restarts=6, seed=3)
     assert np.allclose(np.linalg.norm(ps.state.bloch, axis=1), 1.0)
     assert _product_energy(inst, ps.state.bloch) == pytest.approx(ps.energy, abs=1e-12)
@@ -244,13 +240,13 @@ _STAR = Instance(
 
 
 def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
-    _, classes = _kernels.colour_classes(*_STAR.incidence())
+    A, classes = _kernels.colour_classes(*_STAR.incidence())
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
+    wsum = float(_STAR.arrays()[2].sum())
     V = np.stack([_random_triads(4, rng_for(5, DOMAIN_SOLVER, k)) for k in range(3)])
     V[1, 2] = -V[1, 1]
     start = V.copy()
-    ei, ej, w, wc3 = _STAR.arrays()
-    _kernels.sdp_sweeps(V, *_STAR.incidence(), ei, ej, wc3, float(w.sum()), 1, 1e-10)
+    _kernels.sdp_sweeps(V, A, classes, wsum, 1, 1e-10)
     assert np.array_equal(V[1, 0], start[1, 0])
     for r, i in ((0, 0), (2, 0), (1, 3)):
         assert not np.array_equal(V[r, i], start[r, i])
@@ -260,7 +256,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     B = np.stack(product_starts(_STAR, 3, 5))
     B[1, 2] = -B[1, 1]
     start = B.copy()
-    _kernels.ascent_sweeps(B, *_STAR.incidence(), ei, ej, wc3, float(w.sum()), 1, 1e-12)
+    _kernels.ascent_sweeps(B, A, classes, wsum, 1, 1e-12)
     assert np.array_equal(B[1, 0], start[1, 0])
     for r, i in ((0, 0), (2, 0), (1, 3)):
         assert not np.array_equal(B[r, i], start[r, i])

@@ -82,6 +82,7 @@ def test_pipeline_report_fields(tmp_path, cycle_file):
         "label",
         "scheme",
         "sdp_value",
+        "sdp_upper_bound",
         "rounded_energy",
         "certified_ratio",
         "lambda_max",
@@ -98,6 +99,8 @@ def test_pipeline_report_fields(tmp_path, cycle_file):
     # valid lower bound on the true ratio
     assert rep["certified_ratio"] <= rep["rounded_energy"] / rep["lambda_max"] + 1e-12
     assert rep["sdp_value"] >= rep["lambda_max"] - 1e-6
+    assert rep["sdp_upper_bound"] >= rep["lambda_max"]
+    assert rep["sdp_upper_bound"] >= rep["best_product_energy"]
 
 
 def test_pipeline_deterministic_bytes(tmp_path, cycle_file):
@@ -227,8 +230,7 @@ def test_console_entry_point(cycle_file):
 
 
 def test_oracle_pipeline_runs_one_product_search(monkeypatch):
-    # the oracle's best product energy is the solver's warm start, not a
-    # second search with the same seed and restarts
+    # the solve runs no product search; the oracle's reference is one search
     from heisopt import Edge, Instance, cli, moment_sdp, oracle
 
     calls = []
@@ -245,7 +247,7 @@ def test_oracle_pipeline_runs_one_product_search(monkeypatch):
     for seed in (0, 3):
         calls.clear()
         report = cli.run_pipeline(inst, scheme="axis", trials=20, seed=seed, restarts=2, oracle=True)
-        assert calls == ["heisopt.moment_sdp"]
+        assert calls == ["heisopt.cli"]
         assert report.best_product_energy == oracle.best_product_state(inst, seed=seed).energy
 
 
@@ -293,3 +295,16 @@ def test_pipeline_report_independent_of_blas_threads(tmp_path):
         assert res.returncode == 0, res.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_bound_covers_optimum_of_unconverged_solve(tmp_path, capsys):
+    # here the ascent stops at 22.4999988780, below the relaxation optimum
+    # 22.5; the dual bound must not
+    inst = tmp_path / "g7.txt"
+    assert main(["gen", "random_gnp", "--n", "7", "--p", "0.5", "--seed", "11", "--out", str(inst)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["pipeline", str(inst), "--trials", "60", "--seed", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["sdp_upper_bound"] >= 22.5
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--seed", "2", "--out", str(tmp_path / "g7.sol")]) == 0
+    assert json.loads(capsys.readouterr().err)["sdp_upper_bound"] >= 22.5

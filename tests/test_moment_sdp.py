@@ -59,12 +59,24 @@ def test_sdp_dominates_lambda_max(rng):
 
 
 def test_sdp_dominates_best_product(rng):
-    # restart 0 embeds the product search result, so this holds structurally
+    # the value does in practice; the bound does by construction
     for _ in range(15):
         inst = random_instance(rng)
         sol = solve_moment_sdp(inst, SolverConfig(restarts=1))
         ps = best_product_state(inst)
         assert sol.value >= ps.energy - 1e-9
+        assert sol.diagnostics.upper_bound >= ps.energy - 1e-9
+
+
+def test_upper_bound_dominates_lambda_max_when_capped(rng):
+    # one sweep leaves the ascent far from the optimum; the bound still holds
+    for k in range(60):
+        style = ("family", "corner", "arbitrary")[k % 3]
+        inst = random_instance(rng, n=int(rng.integers(2, 9)), coeffs=style)
+        sol = solve_moment_sdp(inst, SolverConfig(restarts=1, max_sweeps=1, seed=k))
+        lam = exact_max_eigenvalue(inst).lambda_max
+        assert sol.diagnostics.upper_bound >= lam - 1e-12 * (1.0 + abs(lam))
+        assert sol.diagnostics.upper_bound >= sol.value - 1e-12 * (1.0 + abs(sol.value))
 
 
 def test_diagnostics_populated():
@@ -93,19 +105,6 @@ def test_offset_shifts_value():
     v0 = solve_moment_sdp(base, SolverConfig(restarts=2)).value
     v1 = solve_moment_sdp(shifted, SolverConfig(restarts=2)).value
     assert v1 == pytest.approx(v0 + 3.0, abs=1e-10)
-
-
-def test_warm_start_equals_product_energy():
-    # at the embedded warm start (before any sweep) the objective must equal
-    # the product energy; verify via sdp_objective on a hand-built embedding
-    from heisopt.moment_sdp import _embed_product
-
-    inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 0), Edge(0, 2, 2.0, 1, 1, 0)))
-    ps = best_product_state(inst, restarts=5)
-    V = _embed_product(ps.state.bloch)
-    sol = MomentSolution(vectors=V, value=0.0)
-    assert check_feasibility(sol).passed
-    assert sdp_objective(inst, sol) == pytest.approx(ps.energy, abs=1e-10)
 
 
 def test_serialization_round_trip(rng):
@@ -179,20 +178,19 @@ def test_mismatched_objective_rejected():
         sdp_objective(inst, sol)
 
 
-def test_warm_start_uses_configured_seed(monkeypatch):
-    from heisopt import moment_sdp
+def test_solve_runs_no_product_search(monkeypatch):
+    from heisopt import moment_sdp, oracle
 
-    seen = []
-    search = moment_sdp.best_product_state
+    calls = []
+    for mod in (moment_sdp, oracle):
+        def counting(*args, _search=mod.best_product_state, **kwargs):
+            calls.append(1)
+            return _search(*args, **kwargs)
 
-    def recording(inst, **kwargs):
-        seen.append(kwargs.get("seed"))
-        return search(inst, **kwargs)
-
-    monkeypatch.setattr(moment_sdp, "best_product_state", recording)
+        monkeypatch.setattr(mod, "best_product_state", counting)
     inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 0), Edge(1, 2, 1.0, 0, 1, 1)))
     solve_moment_sdp(inst, SolverConfig(restarts=2, seed=7))
-    assert seen == [7]
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [3, 9, 40, 120])
