@@ -15,10 +15,11 @@ Shared array conventions:
   A    (3, n, n) float64 dense coupling, A[k, i, j] = sum of fac[p, k] over the
        incidence slots p of qubit i whose other endpoint is j (colour_classes)
 
-The two ascents take a leading restart axis instead: V (R, n, 3, 3n) and
-B (R, n, 3), updated in place. All restarts sweep in lock-step; each stops on
-its own rule and is frozen from then on. They take A and its colour classes
-from colour_classes and evaluate their objective as
+Both ascents update in place and take A and its colour classes from
+colour_classes. The relaxation ascends one V and stops on its dual gap
+(sdp_dual_bound). The product search takes a leading restart axis,
+B (R, n, 3): its restarts sweep in lock-step, each stops once a sweep gains
+less than tol and is frozen from then on; its energy is
 wsum + 1/2 sum_k <W_k, A_k W_k>, one matmul.
 """
 
@@ -61,8 +62,8 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # Qubits that share no edge do not see each other's block, so updating a whole
 # independent set at once is still an exact block maximization. Both ascents
 # sweep over greedy colour classes; per class, the couplings of every member
-# in every still-active restart come out of one matmul with the class's rows
-# of the dense coupling A.
+# (in every still-active restart, for the product search) come out of one
+# matmul with the class's rows of the dense coupling A.
 
 
 def colour_classes(nptr, nother, fac):
@@ -91,62 +92,52 @@ def colour_classes(nptr, nother, fac):
 # ------------------------------------------------------- SDP coordinate ascent
 #
 # Block update for qubit i: maximize tr(Vi^T C) over 3n x 3 orthonormal frames
-# Vi, with C the coupling matrix of its neighbours' vectors. Solved by thin
-# QR of C followed by SVD of the 3x3 R factor (orthogonal Procrustes).
+# Vi, with C the coupling matrix of its neighbours' vectors. Solved by the
+# thin SVD C = U S W^T: Vi = U W^T (orthogonal Procrustes). U is orthonormal
+# even where C is rank-deficient.
 #
-# Both ascents run every restart in lock-step: one class update covers every
-# member of the class in every still-active restart with one matmul (and,
-# for the relaxation, one stacked QR and one stacked SVD). After each sweep
-# every restart applies its own stop rule; a stopped restart is written back
-# and frozen, and later sweeps run on the remaining ones only.
+# One class update covers every member of the class with one matmul and one
+# stacked SVD. The ascent stops on its own certificate: every BOUND_EVERY
+# sweeps, and at max_sweeps, it evaluates sdp_dual_bound and stops once the
+# relative gap is at most gap_tol.
+
+BOUND_EVERY = 10
 
 
-def sdp_sweeps(V, A, classes, wsum, max_sweeps, tol):
-    """Ascend every restart of V (R, n, 3, 3n) in place.
+def sdp_sweeps(V, A, classes, wsum, max_sweeps, gap_tol):
+    """Ascend V (n, 3, 3n) in place until its dual gap closes or max_sweeps.
 
-    Returns per-restart arrays (obj, sweeps, last_rel, converged, monotone).
-    The sweeps work on a copy in (R, 3, n, 3n) layout, so that the couplings
-    of a class on axis k are the matmul A[k, I] @ W[:, k].
+    The gap is (bound - value) / max(1, |value|). Returns (value, bound,
+    sweeps, converged, monotone) at the final V; monotone is False if a bound
+    evaluation saw the value fall. The sweeps work on a copy in (3, n, 3n)
+    layout, so that the couplings of a class on axis k are the matmul
+    A[k, I] @ W[k].
     """
-    R = V.shape[0]
-
-    def objectives(W):
-        return wsum + 0.5 * np.einsum("rknd,rknd->r", W, A @ W)
-
-    W = V.transpose(0, 2, 1, 3).copy()
-    obj = objectives(W)
-    sweeps = np.zeros(R, dtype=np.int64)
-    last_rel = np.full(R, np.inf)
-    converged = np.zeros(R, dtype=bool)
-    monotone = np.ones(R, dtype=bool)
-    act = np.arange(R)
-    while act.size:
+    W = V.transpose(1, 0, 2).copy()
+    value = -np.inf
+    monotone = True
+    sweeps = 0
+    while True:
         for I, AI in classes:
-            # couplings (R, |I|, 3n, 3); QR of a zero matrix has R factor 0
-            Q, Rf = np.linalg.qr((AI @ W).transpose(0, 2, 3, 1))
-            U3, _, Vt3 = np.linalg.svd(Rf)
-            T = (Q @ (U3 @ Vt3)).transpose(0, 1, 3, 2)  # new triads (R, |I|, 3, 3n)
-            live = Rf.any(axis=(2, 3))
+            # couplings (|I|, 3n, 3); a zero matrix has singular values 0
+            U, sv, Vt = np.linalg.svd((AI @ W).transpose(1, 2, 0), full_matrices=False)
+            T = (U @ Vt).transpose(2, 0, 1)  # new triads (3, |I|, 3n)
+            live = sv.any(axis=1)
             if live.all():
-                W[:, :, I] = T.transpose(0, 2, 1, 3)
+                W[:, I] = T
             else:
-                # a (restart, qubit) pair with a zero coupling keeps its triad
-                r, q = np.nonzero(live)
-                W[r, :, I[q]] = T[r, q]
-        new = objectives(W)
-        old = obj[act]
-        sweeps[act] += 1
-        monotone[act[new < old - 1e-8 * (1.0 + np.abs(old))]] = False
-        rel = (new - old) / np.maximum(1.0, np.abs(new))
-        last_rel[act] = rel
-        obj[act] = new
-        done = rel < tol
-        converged[act[done]] = True
-        stop = done | (sweeps[act] >= max_sweeps)
-        if stop.any():
-            V[act[stop]] = W[stop].transpose(0, 2, 1, 3)
-            act, W = act[~stop], W[~stop]
-    return obj, sweeps, last_rel, converged, monotone
+                # a qubit with a zero coupling keeps its triad
+                W[:, I[live]] = T[:, live]
+        sweeps += 1
+        if sweeps % BOUND_EVERY and sweeps < max_sweeps:
+            continue
+        new, bound = sdp_dual_bound(W.transpose(1, 0, 2), A, wsum)
+        monotone &= new >= value - 1e-8 * (1.0 + abs(value))
+        value = new
+        converged = (bound - value) / max(1.0, abs(value)) <= gap_tol
+        if converged or sweeps >= max_sweeps:
+            V[:] = W.transpose(1, 0, 2)
+            return value, bound, sweeps, converged, monotone
 
 
 # ------------------------------------------------------------- SDP dual bound
@@ -161,7 +152,7 @@ def sdp_sweeps(V, A, classes, wsum, max_sweeps, tol):
 
 
 def sdp_dual_bound(V, A, wsum):
-    """Upper bound on the relaxation optimum, from any feasible V (n, 3, 3n)."""
+    """(value, bound) at a feasible V (n, 3, 3n); bound caps the relaxation optimum."""
     n = V.shape[0]
     CV = 0.5 * (A @ V.transpose(1, 0, 2))  # (3, n, 3n): row (i, k) at [k, i]
     M = np.einsum("kid,ild->ikl", CV, V)
@@ -172,7 +163,8 @@ def sdp_dual_bound(V, A, wsum):
     q = np.arange(n)
     S[q, :, q, :] += Lam
     mu = float(np.linalg.eigvalsh(S.reshape(3 * n, 3 * n))[0])
-    return wsum + float(np.einsum("ikk->", Lam)) + 3 * n * max(0.0, -mu)
+    value = wsum + float(np.einsum("ikk->", Lam))
+    return value, value + 3 * n * max(0.0, -mu)
 
 
 # ------------------------------------------------------ Bloch coordinate ascent

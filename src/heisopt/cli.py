@@ -13,8 +13,9 @@ exercised and benchmarked on its own:
 
 Reports are JSON with sorted keys, no timestamps, and seeded randomness
 throughout, so identical invocations produce byte-identical files.
-Exit codes: 0 success, 2 parse/usage error, 3 solver non-convergence
-(report still written), 4 oracle limit exceeded.
+Exit codes: 0 success, 2 parse/usage error, 3 solver non-convergence (the
+relaxation's dual gap still open at max_sweeps; report still written),
+4 oracle limit exceeded.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def run_pipeline(
     scheme: str = "bfv",
     trials: int = 100,
     seed: int = 0,
-    restarts: int = 5,
+    restarts: int = 1,
     oracle: bool = False,
 ) -> RatioReport:
     """Solve the relaxation, round it, optionally attach exact references.
@@ -137,7 +138,7 @@ def run_pipeline(
         certified_ratio=outcome.energy / sol.value if sol.value != 0 else 0.0,
         trials=trials,
         seed=seed,
-        restarts=restarts,
+        restarts=sol.diagnostics.restarts,
         solver_converged=sol.diagnostics.converged,
         lambda_max=lam,
         oracle_method=method,
@@ -194,8 +195,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     seed = _default_seed(args.seed)
     inst = parse_instance_file(args.instance)
-    cfg = SolverConfig(restarts=args.restarts, seed=seed)
-    sol = solve_moment_sdp(inst, cfg)
+    sol = solve_moment_sdp(inst, SolverConfig(seed=seed))
     _write(args.out, serialize_moment_solution(sol))
     feas = check_feasibility(sol)
     diag = sol.diagnostics
@@ -294,20 +294,17 @@ def _cmd_pipeline(args) -> int:
         scheme=args.scheme,
         trials=args.trials,
         seed=seed,
-        restarts=args.restarts,
         oracle=(args.oracle == "on"),
     )
     _write(args.out, report.to_json())
     return EXIT_OK if report.solver_converged else EXIT_NONCONVERGED
 
 
-def _add_common(p, *, seed=True, out=True, restarts=None):
+def _add_common(p, *, seed=True, out=True):
     if seed:
         p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: HEIS_DEFAULT_SEED or 0)")
     if out:
         p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
-    if restarts is not None:
-        p.add_argument("--restarts", type=int, default=restarts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the moment relaxation")
     p.add_argument("instance")
-    _add_common(p, restarts=5)
+    _add_common(p)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("round", help="round a saved solution to a product state")
@@ -340,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact eigenvalue and product-state oracles")
     p.add_argument("instance")
-    _add_common(p, restarts=50)
+    p.add_argument("--restarts", type=int, default=50, help="random starts of the product-state search")
+    _add_common(p)
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("ratio-tables", help="theoretical approximation constants")
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["bfv", "axis"], default="bfv")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--oracle", choices=["on", "off"], default="off")
-    _add_common(p, restarts=5)
+    _add_common(p)
     p.set_defaults(fn=_cmd_pipeline)
 
     return ap

@@ -11,27 +11,23 @@ of the relaxation hold by construction:
 and the objective sum_e w*(1 - alpha <v_i1,v_j1> - beta <v_i2,v_j2>
 - gamma <v_i3,v_j3>) is maximized by block-coordinate ascent over triads:
 the block update is an orthogonal Procrustes problem, solved exactly via a
-thin QR of the 3n x 3 coupling matrix and an SVD of its 3x3 R factor. At
+thin SVD of the 3n x 3 coupling matrix. At
 full rank the Gram vectors are already the factor a Cholesky step would
 extract, so none is needed.
 
-Restart k starts from random triads drawn from rng_for(SolverConfig.seed,
-DOMAIN_SOLVER, k). The value of the best restart is a feasible point's
-objective, so it bounds lambda_max from above only at the optimum; the solve
-also evaluates a dual bound at that point (_kernels.sdp_dual_bound), which
-bounds the relaxation optimum, and hence lambda_max and every product
-state's energy, whether or not the ascent converged. SolveDiagnostics
-reports it as upper_bound.
-
-All restarts run as one lock-step batch over a leading restart axis,
-V of shape (R, n, 3, 3n). A sweep visits greedy colour classes of the
-qubits: a class shares no edge, so its qubits' blocks are independent and
-one batched update is still an exact block maximization. Per class, the
-couplings of every member in every still-active restart are one matmul with
-the class's rows of the dense coupling, followed by one stacked QR and one
-stacked SVD. Each restart keeps its own stop rule (relative gain below
-sweep_tolerance, or max_sweeps) and its own monotonicity check; a restart
-that has stopped is frozen.
+Attempt k starts from random triads drawn from rng_for(SolverConfig.seed,
+DOMAIN_SOLVER, k). A sweep visits greedy colour classes of the qubits: a
+class shares no edge, so its qubits' blocks are independent and one batched
+update is still an exact block maximization. Every few sweeps the ascent
+evaluates a dual bound at its current point (_kernels.sdp_dual_bound). The
+bound caps the relaxation optimum, and hence lambda_max and every product
+state's energy, whether or not the ascent converged; SolveDiagnostics
+reports it as upper_bound. The ascent stops once the relative gap
+(bound - value) / max(1, |value|) is at most GAP_TOLERANCE, which is what
+"converged" means. At full rank the Burer-Monteiro landscape has no
+spurious local optima (Boumal, Voroninski & Bandeira 2016), so one attempt
+is the default; a further attempt runs only when the previous one stopped
+at max_sweeps with its gap still open.
 """
 
 from __future__ import annotations
@@ -63,33 +59,30 @@ __all__ = [
 ]
 
 
+# relative dual gap at which the ascent stops
+GAP_TOLERANCE = 1e-7
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    restarts: int = 5
-    sweep_tolerance: float = 1e-10
+    restarts: int = 1
     max_sweeps: int = 10000
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if not self.sweep_tolerance > 0:
-            raise ValueError("sweep_tolerance must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be positive")
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    restarts: int
+    restarts: int  # attempts run
     total_sweeps: int
-    best_restart: int
-    best_sweeps: int
-    final_improvement: float
     converged: bool
-    restart_values: tuple[float, ...]
     capped: int
-    # dual bound on the relaxation optimum at the best restart's vectors
+    # dual bound on the relaxation optimum at the returned vectors
     upper_bound: float
 
 
@@ -126,47 +119,49 @@ def _random_triads(n: int, rng) -> np.ndarray:
 
 
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
-    """Best feasible point over cfg.restarts runs of block-coordinate ascent.
+    """Block-coordinate ascent from random triads until the dual gap closes.
 
-    All restarts run as one lock-step batch; restarts that stop at
-    cfg.max_sweeps are counted in diagnostics.capped and logged as a warning
-    on the "heisopt" logger. diagnostics.upper_bound is the dual bound at the
-    returned vectors, valid whether or not they converged.
+    Attempts that stop at cfg.max_sweeps with the gap open are counted in
+    diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
+    The best-valued attempt is returned with its own bound, which is valid
+    whether or not it converged. A capped solve logs a warning on the
+    "heisopt" logger.
     """
     cfg = cfg or SolverConfig()
     wsum = float(inst.arrays()[2].sum())
     A, classes = _kernels.colour_classes(*inst.incidence())
 
-    V = np.empty((cfg.restarts, inst.n, 3, 3 * inst.n))
+    best = None
+    total = capped = 0
     for k in range(cfg.restarts):
-        V[k] = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
-    obj, sweeps, rel, converged, monotone = _kernels.sdp_sweeps(
-        V, A, classes, wsum, cfg.max_sweeps, cfg.sweep_tolerance
-    )
-    if not monotone.all():
-        raise RuntimeError("sweep objective decreased; ascent invariant violated")
-    capped = int(cfg.restarts - converged.sum())
+        V = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
+        value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(
+            V, A, classes, wsum, cfg.max_sweeps, GAP_TOLERANCE
+        )
+        if not monotone:
+            raise RuntimeError("sweep objective decreased; ascent invariant violated")
+        total += sweeps
+        if best is None or value > best[1]:
+            best = (V, value, bound, converged)
+        if converged:
+            break
+        capped += 1
+    V, value, bound, converged = best
     if capped:
         log.warning(
-            "moment relaxation: %d of %d restarts stopped at max_sweeps=%d",
-            capped, cfg.restarts, cfg.max_sweeps,
+            "moment relaxation: %d of %d attempts stopped at max_sweeps=%d; "
+            "relative gap %.3g, tolerance %.3g",
+            capped, k + 1, cfg.max_sweeps,
+            (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
         )
-
-    best = int(np.argmax(obj))
     diag = SolveDiagnostics(
-        restarts=cfg.restarts,
-        total_sweeps=int(sweeps.sum()),
-        best_restart=best,
-        best_sweeps=int(sweeps[best]),
-        final_improvement=float(rel[best]),
-        converged=bool(converged[best]),
-        restart_values=tuple(float(v) + inst.offset for v in obj),
+        restarts=k + 1,
+        total_sweeps=total,
+        converged=converged,
         capped=capped,
-        upper_bound=_kernels.sdp_dual_bound(V[best], A, wsum) + inst.offset,
+        upper_bound=bound + inst.offset,
     )
-    return MomentSolution(
-        vectors=V[best].copy(), value=float(obj[best]) + inst.offset, diagnostics=diag
-    )
+    return MomentSolution(vectors=V, value=value + inst.offset, diagnostics=diag)
 
 
 def sdp_objective(inst: Instance, sol: MomentSolution) -> float:

@@ -1,10 +1,11 @@
-"""The lock-step restart batch against plain one-restart loops.
+"""The colour-batched ascents against plain per-qubit loops.
 
-The references below run one restart at a time with the stop rules of
-best_product_state and solve_moment_sdp, so every restart of the batch can
-be compared with its own independent run. They update one qubit at a time,
-in the kernels' colour-class order: a class shares no edge, so updating its
-qubits one by one reaches the same point as the kernels' batched update.
+The product-search reference runs one restart at a time with the stop rule
+of best_product_state, so every restart of the lock-step batch can be
+compared with its own independent run; the relaxation reference runs a
+fixed number of sweeps. Both update one qubit at a time, in the kernels'
+colour-class order: a class shares no edge, so updating its qubits one by
+one reaches the same point as the kernels' batched update.
 """
 
 import logging
@@ -77,10 +78,9 @@ def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
     return energy, sweeps
 
 
-def one_restart_relaxation(inst, V, max_sweeps=10000, tol=1e-10):
-    obj = _relaxation_value(inst, V) - inst.offset
+def relaxation_sweeps(inst, V, sweeps):
     order = _class_order(inst)
-    for sweeps in range(1, max_sweeps + 1):
+    for _ in range(sweeps):
         for i in order:
             C = -sum((V[j].T * coef for j, coef in _neighbours(inst, i)), np.zeros((3 * inst.n, 3)))
             if not C.any():
@@ -88,11 +88,7 @@ def one_restart_relaxation(inst, V, max_sweeps=10000, tol=1e-10):
             Q, R = np.linalg.qr(C)
             U, _, Wt = np.linalg.svd(R)
             V[i] = (Q @ U @ Wt).T
-        new = _relaxation_value(inst, V) - inst.offset
-        rel, obj = (new - obj) / max(1.0, abs(new)), new
-        if rel < tol:
-            break
-    return obj + inst.offset, sweeps
+    return _relaxation_value(inst, V)
 
 
 def product_starts(inst, restarts, seed):
@@ -129,18 +125,21 @@ def test_product_search_matches_one_restart_loop(rng):
 
 
 def test_relaxation_matches_one_restart_loop(rng):
+    # gap_tol = 0 keeps the kernel sweeping to max_sweeps, like the reference
     for _ in range(3):
         inst = random_instance(rng, n=int(rng.integers(3, 6)))
-        cfg = SolverConfig(restarts=3, seed=int(rng.integers(100)))
-        starts = [
-            _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k)) for k in range(cfg.restarts)
-        ]
-        ref = [one_restart_relaxation(inst, V) for V in starts]
+        V = _random_triads(inst.n, rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0))
+        ref = V.copy()
+        ref_value = relaxation_sweeps(inst, ref, 25)
 
-        d = solve_moment_sdp(inst, cfg).diagnostics
-        assert d.capped == 0
-        assert d.restart_values == pytest.approx([v for v, _ in ref], rel=1e-9)
-        assert abs(d.total_sweeps - sum(s for _, s in ref)) <= 2 * cfg.restarts
+        A, classes = _kernels.colour_classes(*inst.incidence())
+        wsum = float(inst.arrays()[2].sum() + inst.offset)
+        value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(V, A, classes, wsum, 25, 0.0)
+        assert sweeps == 25
+        assert monotone
+        assert value == pytest.approx(ref_value, rel=1e-9)
+        assert np.allclose(V, ref, atol=1e-6)
+        assert bound >= value
 
 
 def test_max_sweeps_caps_every_restart(caplog):
@@ -155,8 +154,12 @@ def test_max_sweeps_caps_every_restart(caplog):
     assert not d.converged
     assert d.capped == d.restarts == 4
     assert d.total_sweeps == 4
+    assert d.upper_bound > sol.value
     assert check_feasibility(sol).passed
-    assert any("moment relaxation: 4 of 4 restarts" in r.getMessage() for r in caplog.records)
+    assert any(
+        "moment relaxation: 4 of 4 attempts stopped at max_sweeps=1; relative gap" in r.getMessage()
+        for r in caplog.records
+    )
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="heisopt"):
@@ -243,15 +246,16 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     A, classes = _kernels.colour_classes(*_STAR.incidence())
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
     wsum = float(_STAR.arrays()[2].sum())
-    V = np.stack([_random_triads(4, rng_for(5, DOMAIN_SOLVER, k)) for k in range(3)])
-    V[1, 2] = -V[1, 1]
-    start = V.copy()
-    _kernels.sdp_sweeps(V, A, classes, wsum, 1, 1e-10)
-    assert np.array_equal(V[1, 0], start[1, 0])
-    for r, i in ((0, 0), (2, 0), (1, 3)):
-        assert not np.array_equal(V[r, i], start[r, i])
-    for r in range(3):
-        assert check_feasibility(MomentSolution(vectors=V[r], value=0.0)).passed
+    for zero in (False, True):
+        V = _random_triads(4, rng_for(5, DOMAIN_SOLVER, 0))
+        if zero:
+            V[2] = -V[1]
+        start = V.copy()
+        _kernels.sdp_sweeps(V, A, classes, wsum, 1, 1e-7)
+        # qubit 0 moves unless its coupling is zero; qubit 3, in its class, moves
+        assert np.array_equal(V[0], start[0]) == zero
+        assert not np.array_equal(V[3], start[3])
+        assert check_feasibility(MomentSolution(vectors=V, value=0.0)).passed
 
     B = np.stack(product_starts(_STAR, 3, 5))
     B[1, 2] = -B[1, 1]

@@ -298,7 +298,7 @@ def test_pipeline_report_independent_of_blas_threads(tmp_path):
 
 
 def test_bound_covers_optimum_of_unconverged_solve(tmp_path, capsys):
-    # here the ascent stops at 22.4999988780, below the relaxation optimum
+    # here the ascent stops at 22.4999992813, below the relaxation optimum
     # 22.5; the dual bound must not
     inst = tmp_path / "g7.txt"
     assert main(["gen", "random_gnp", "--n", "7", "--p", "0.5", "--seed", "11", "--out", str(inst)]) == 0
