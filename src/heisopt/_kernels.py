@@ -8,19 +8,18 @@ Shared array conventions:
   V    (n, 3, 3n) float64, V[i, k] is the Gram vector of Pauli axis k on qubit i
   B    (n, 3) float64 Bloch vectors; product_energy_kernel also takes a leading
        trial axis, B (b, n, 3)
-  wc3  (m, 3) float64, wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma)
-  fac  (2m, 3) float64 incidence factors, fac[p, k] = -w_e * coeff_k(e) for the
-       edge behind incidence slot p (see instance.incidence)
-  nptr (n+1,) int64 / nother (2m,) int64  CSR-style incidence lists
-  A    (3, n, n) float64 dense coupling, A[k, i, j] = sum of fac[p, k] over the
-       incidence slots p of qubit i whose other endpoint is j (colour_classes)
+  ei, ej (m,) int64 edge endpoints, ei < ej; wc3 (m, 3) float64,
+       wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma);
+       the edge table of instance.Instance.arrays
+  A    (3, n, n) float64 dense coupling, A[k, i, j] = A[k, j, i] = sum of
+       -wc3[e, k] over the edges e between i and j (colour_classes)
 
 Both ascents update in place and take A and its colour classes from
-colour_classes. The relaxation ascends one V and stops on its dual gap
-(sdp_dual_bound). The product search takes a leading restart axis,
-B (R, n, 3): its restarts sweep in lock-step, each stops once a sweep gains
-less than tol and is frozen from then on; its energy is
-wsum + 1/2 sum_k <W_k, A_k W_k>, one matmul.
+Instance.incidence, which calls colour_classes. The relaxation ascends one
+V and stops on its dual gap (sdp_dual_bound). The product search takes a
+leading restart axis, B (R, n, 3): its restarts sweep in lock-step, each
+stops once a sweep gains less than tol and is frozen from then on; its
+energy is wsum + 1/2 sum_k <W_k, A_k W_k>, one matmul.
 """
 
 from __future__ import annotations
@@ -66,21 +65,23 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # matmul with the class's rows of the dense coupling A.
 
 
-def colour_classes(nptr, nother, fac):
+def colour_classes(n, ei, ej, wc3):
     """Coupling A (3, n, n) and greedy colour classes [(I, A[:, I])].
 
     A[k, i, j] sums -w_e * coeff_k(e) over the edges e between i and j
-    (parallel edges add up). Qubits with an edge are coloured in index
-    order, each with the smallest colour none of its neighbours holds, so
-    the classes are deterministic; I lists a class's qubits in index order.
+    (parallel edges add up, in edge order). Qubits with an edge, of any
+    weight, are coloured in index order, each with the smallest colour none
+    of its neighbours holds, so the classes are deterministic; I lists a
+    class's qubits in index order.
     """
-    n = nptr.shape[0] - 1
-    deg = np.diff(nptr)
-    flat = np.repeat(np.arange(n) * n, deg) + nother
-    A = np.stack([np.bincount(flat, fac[:, k], n * n) for k in range(3)]).reshape(3, n, n)
+    flat = np.concatenate([ei * n + ej, ej * n + ei])
+    weights = -np.concatenate([wc3, wc3])
+    A = np.stack([np.bincount(flat, weights[:, k], n * n) for k in range(3)]).reshape(3, n, n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[ei, ej] = adj[ej, ei] = True
     colour = np.full(n, -1)
-    for i in np.flatnonzero(deg):
-        taken = set(colour[nother[nptr[i] : nptr[i + 1]]].tolist())
+    for i in np.flatnonzero(adj.any(axis=1)):
+        taken = set(colour[adj[i]].tolist())
         c = 0
         while c in taken:
             c += 1

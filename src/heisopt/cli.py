@@ -34,7 +34,7 @@ from .moment_sdp import (
     serialize_moment_solution,
     solve_moment_sdp,
 )
-from .oracle import OracleLimitError, best_product_state, exact_max_eigenvalue
+from .oracle import MAX_QUBITS, OracleLimitError, best_product_state, exact_max_eigenvalue
 from .pauli import reduce_instance
 from .ratio_numerics import approx_ratio_axis, approx_ratio_bfv, curve_to_csv
 from .rounding import bfv_round, gw_axis_round, projection_family
@@ -104,7 +104,8 @@ def run_pipeline(
     """Solve the relaxation, round it, optionally attach exact references.
 
     An unknown scheme, trials < 1 and a bfv run on an instance that is not
-    family-uniform raise ValueError before the solve.
+    family-uniform raise ValueError before the solve, and an oracle run
+    above the exact oracle's MAX_QUBITS raises OracleLimitError there too.
     """
     if scheme not in ("bfv", "axis"):
         raise ValueError(f"unknown rounding scheme {scheme!r}: expected 'bfv' or 'axis'")
@@ -112,6 +113,8 @@ def run_pipeline(
         raise ValueError("need at least one trial")
     if scheme == "bfv":
         projection_family(inst)
+    if oracle and inst.n > MAX_QUBITS:
+        raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
     cfg = SolverConfig(restarts=restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     rounder = bfv_round if scheme == "bfv" else gw_axis_round
@@ -235,6 +238,8 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if args.restarts < 1:
+        raise ValueError("need at least one restart")
     seed = _default_seed(args.seed)
     inst = parse_instance_file(args.instance)
     exact = exact_max_eigenvalue(inst)

@@ -18,11 +18,12 @@ round-trips float64 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
+from . import _kernels
 from ._backend import DOMAIN_GENERATE, rng_for
 
 __all__ = [
@@ -81,12 +82,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable weighted multigraph of Heisenberg-type edge terms."""
+    """Immutable weighted multigraph of Heisenberg-type edge terms.
+
+    Construction validates the edges and builds the read-only edge table
+    that arrays() returns; incidence() builds the dense coupling from it.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     label: str = ""
     offset: float = 0.0
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -96,50 +102,33 @@ class Instance:
         for e in self.edges:
             if e.j >= self.n:
                 raise ValueError(f"edge ({e.i}, {e.j}) out of range for n={self.n}")
+        w = np.array([e.w for e in self.edges], dtype=float)
+        table = (
+            np.array([e.i for e in self.edges], dtype=np.int64),
+            np.array([e.j for e in self.edges], dtype=np.int64),
+            w,
+            w[:, None] * np.array([e.coeffs for e in self.edges], dtype=float).reshape(-1, 3),
+        )
+        for a in table:
+            a.flags.writeable = False
+        object.__setattr__(self, "_table", table)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def arrays(self):
-        """(ei, ej, w, wc3) as numpy arrays; wc3[e, k] = w_e * coeff_k."""
-        m = self.m
-        ei = np.empty(m, dtype=np.int64)
-        ej = np.empty(m, dtype=np.int64)
-        w = np.empty(m)
-        wc3 = np.empty((m, 3))
-        for e, edge in enumerate(self.edges):
-            ei[e] = edge.i
-            ej[e] = edge.j
-            w[e] = edge.w
-            wc3[e, 0] = edge.w * edge.alpha
-            wc3[e, 1] = edge.w * edge.beta
-            wc3[e, 2] = edge.w * edge.gamma
-        return ei, ej, w, wc3
+        """Edge table (ei, ej, w, wc3), read-only; wc3[e, k] = w_e * coeff_k(e)."""
+        return self._table
 
     def incidence(self):
-        """CSR incidence lists (nptr, nother, fac) for block sweeps.
+        """Coupling A (3, n, n) and its colour classes, from _kernels.colour_classes.
 
-        Slot p of qubit i covers one incident edge e with opposite endpoint
-        nother[p] and factors fac[p, k] = -w_e * coeff_k(e).
+        A[k, i, j] = A[k, j, i] sums -w_e * coeff_k(e) over the edges e
+        between i and j. Built anew on each call: A holds 3n^2 floats.
         """
-        ei, ej, _, wc3 = self.arrays()
-        deg = np.zeros(self.n, dtype=np.int64)
-        for e in range(self.m):
-            deg[ei[e]] += 1
-            deg[ej[e]] += 1
-        nptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=nptr[1:])
-        nother = np.zeros(2 * self.m, dtype=np.int64)
-        fac = np.zeros((2 * self.m, 3))
-        cursor = nptr[:-1].copy()
-        for e in range(self.m):
-            for a, b in ((ei[e], ej[e]), (ej[e], ei[e])):
-                p = cursor[a]
-                nother[p] = b
-                fac[p] = -wc3[e]
-                cursor[a] += 1
-        return nptr, nother, fac
+        ei, ej, _, wc3 = self._table
+        return _kernels.colour_classes(self.n, ei, ej, wc3)
 
 
 @dataclass(frozen=True)

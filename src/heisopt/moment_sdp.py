@@ -129,7 +129,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     """
     cfg = cfg or SolverConfig()
     wsum = float(inst.arrays()[2].sum())
-    A, classes = _kernels.colour_classes(*inst.incidence())
+    A, classes = inst.incidence()
 
     best = None
     total = capped = 0

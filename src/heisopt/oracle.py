@@ -47,6 +47,8 @@ MAX_QUBITS = 20
 _BASIS = 60
 _MAX_RESTARTS = 500
 _TOL = 1e-10
+# a product-search restart stops once a full sweep gains less than this
+_ASCENT_TOL = 1e-12
 
 
 class OracleLimitError(RuntimeError):
@@ -148,21 +150,21 @@ def best_product_state(
     restarts: int = 50,
     seed: int = 0,
     max_sweeps: int = 10000,
-    tol: float = 1e-12,
 ) -> ProductSearchResult:
     """Coordinate ascent over Bloch vectors, best of `restarts` random starts.
 
     Each sweep sets every Bloch vector to the normalized local field
     c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
-    the energy, one colour class of qubits at a time; a restart stops once a full pass gains less than tol, or at
-    max_sweeps. All restarts run as one lock-step batch. `sweeps` is their
-    total and `capped` counts those stopped by max_sweeps, which also logs a
-    warning on the "heisopt" logger.
+    the energy, one colour class of qubits at a time; a restart stops once
+    a full pass gains less than _ASCENT_TOL, or at max_sweeps. All restarts
+    run as one lock-step batch. `sweeps` is their total and `capped` counts
+    those stopped by max_sweeps, which also logs a warning on the "heisopt"
+    logger.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     ident = float(inst.arrays()[2].sum() + inst.offset)
-    A, classes = _kernels.colour_classes(*inst.incidence())
+    A, classes = inst.incidence()
 
     B = np.empty((restarts, inst.n, 3))
     for k in range(restarts):
@@ -174,7 +176,7 @@ def best_product_state(
             Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
             norms = np.linalg.norm(Bk, axis=1)
         B[k] = Bk / norms[:, None]
-    energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, ident, max_sweeps, tol)
+    energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, ident, max_sweeps, _ASCENT_TOL)
     best = int(np.argmax(energy))
     capped = int(restarts - converged.sum())
     if capped:

@@ -50,6 +50,9 @@ _YY = np.kron(SY, SY)
 _ZZ = np.kron(SZ, SZ)
 _I4 = np.eye(4, dtype=complex)
 
+# largest n build_dense accepts: its 2^n x 2^n complex matrix is 4 GiB at 14
+DENSE_LIMIT = 14
+
 
 @dataclass(frozen=True, eq=False)
 class DenseHermitian:
@@ -96,10 +99,10 @@ class ProductState:
         return bool(np.abs(np.linalg.norm(self.bloch, axis=1) - 1.0).max() <= tol)
 
 
-def build_dense(inst: _inst.Instance, dense_limit: int = 14) -> DenseHermitian:
-    """Full 2^n matrix of the instance Hamiltonian (offset included)."""
-    if inst.n > dense_limit:
-        raise ValueError(f"n={inst.n} exceeds the dense-size guard {dense_limit}")
+def build_dense(inst: _inst.Instance) -> DenseHermitian:
+    """Full 2^n matrix of the instance Hamiltonian (offset included), n <= DENSE_LIMIT."""
+    if inst.n > DENSE_LIMIT:
+        raise ValueError(f"n={inst.n} exceeds the dense-size guard {DENSE_LIMIT}")
     size = 1 << inst.n
     H = np.zeros((size, size), dtype=complex)
     s = np.arange(size)

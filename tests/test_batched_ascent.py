@@ -43,7 +43,7 @@ def _neighbours(inst, i):
 
 def _class_order(inst):
     """The qubits with an edge, class by class as the kernels visit them."""
-    _, classes = _kernels.colour_classes(*inst.incidence())
+    _, classes = inst.incidence()
     return [int(i) for I, _ in classes for i in I]
 
 
@@ -107,7 +107,7 @@ def test_product_search_matches_one_restart_loop(rng):
         ref = [one_restart_ascent(inst, B) for B in product_starts(inst, restarts, seed)]
 
         B = np.stack(product_starts(inst, restarts, seed))
-        A, classes = _kernels.colour_classes(*inst.incidence())
+        A, classes = inst.incidence()
         wsum = float(inst.arrays()[2].sum() + inst.offset)
         energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, wsum, 10000, 1e-12)
         assert converged.all()
@@ -132,7 +132,7 @@ def test_relaxation_matches_one_restart_loop(rng):
         ref = V.copy()
         ref_value = relaxation_sweeps(inst, ref, 25)
 
-        A, classes = _kernels.colour_classes(*inst.incidence())
+        A, classes = inst.incidence()
         wsum = float(inst.arrays()[2].sum() + inst.offset)
         value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(V, A, classes, wsum, 25, 0.0)
         assert sweeps == 25
@@ -203,7 +203,7 @@ def test_skipped_qubits_stay_feasible(edges):
 def test_colour_classes_partition_edge_qubits_into_independent_sets(rng):
     for _ in range(6):
         inst = random_instance(rng, n=int(rng.integers(2, 12)), p=float(rng.uniform(0.1, 0.8)))
-        A, classes = _kernels.colour_classes(*inst.incidence())
+        A, classes = inst.incidence()
         edges = {(e.i, e.j) for e in inst.edges}
         for I, AI in classes:
             members = set(I.tolist())
@@ -214,7 +214,7 @@ def test_colour_classes_partition_edge_qubits_into_independent_sets(rng):
         assert len(coloured) == len(set(coloured.tolist()))
         assert set(coloured.tolist()) == {q for e in edges for q in e}
         # the same classes, and the same coupling, on every call
-        A2, again = _kernels.colour_classes(*inst.incidence())
+        A2, again = inst.incidence()
         assert np.array_equal(A, A2)
         assert len(again) == len(classes)
         assert all(np.array_equal(I, J) for (I, _), (J, _) in zip(classes, again))
@@ -225,7 +225,7 @@ def test_coupling_sums_parallel_edges():
         n=3,
         edges=(Edge(0, 1, 1.0, 1, 0.5, -1), Edge(1, 2, 0.3, 0, 1, 1), Edge(0, 1, 0.5, -0.2, 1, 0.4)),
     )
-    A, classes = _kernels.colour_classes(*inst.incidence())
+    A, classes = inst.incidence()
     expect = np.zeros((3, 3, 3))
     for e in inst.edges:
         c = -e.w * np.array([e.alpha, e.beta, e.gamma])
@@ -243,7 +243,7 @@ _STAR = Instance(
 
 
 def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
-    A, classes = _kernels.colour_classes(*_STAR.incidence())
+    A, classes = _STAR.incidence()
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
     wsum = float(_STAR.arrays()[2].sum())
     for zero in (False, True):

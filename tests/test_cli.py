@@ -274,10 +274,23 @@ def test_pipeline_refuses_bad_arguments_before_solving(monkeypatch):
     for inst, kwargs, message in bad:
         with pytest.raises(ValueError, match=message):
             cli.run_pipeline(inst, **kwargs)
+    big = Instance(n=21, edges=(Edge(0, 20, 1.0, 1, 1, 1),))
+    with pytest.raises(cli.OracleLimitError, match="limit of 20 qubits"):
+        cli.run_pipeline(big, scheme="axis", trials=5, oracle=True)
     assert calls == []
     assert cli.run_pipeline(mixed, scheme="axis", trials=5).scheme == "axis"
     assert cli.run_pipeline(xyz, scheme="bfv", trials=5).scheme == "bfv"
     assert len(calls) == 2
+
+
+def test_exact_refuses_zero_restarts_before_eigensolve(cycle_file, monkeypatch, capsys):
+    from heisopt import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "exact_max_eigenvalue", lambda inst: calls.append(1))
+    assert main(["exact", cycle_file, "--restarts", "0"]) == 2
+    assert "at least one restart" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_pipeline_report_independent_of_blas_threads(tmp_path):

@@ -52,17 +52,44 @@ def test_arrays_layout():
 
 
 def test_incidence_mirrors_edges():
-    inst = Instance(
-        n=4,
-        edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(0, 2, 2.0, 0, 0, 1), Edge(2, 3, 1.5, 1, 1, 0)),
+    # qubits 0 and 1 share two parallel edges; qubit 4 has none
+    edges = (
+        Edge(0, 1, 1.0, 1, 1, 1),
+        Edge(0, 2, 2.0, 0, 0, 1),
+        Edge(2, 3, 1.5, 1, 1, 0),
+        Edge(0, 1, 0.5, -0.2, 1, 0.4),
     )
-    nptr, nother, fac = inst.incidence()
-    assert nptr.tolist() == [0, 2, 3, 5, 6]
-    # vertex 0 sees 1 and 2; factors are -w*coeffs of the shared edge
-    assert sorted(nother[0:2].tolist()) == [1, 2]
-    _, _, _, wc3 = inst.arrays()
-    total = np.abs(fac).sum()
-    assert total == pytest.approx(2 * np.abs(wc3).sum())
+    inst = Instance(n=5, edges=edges)
+    A, classes = inst.incidence()
+    assert A.shape == (3, 5, 5)
+    assert np.array_equal(A, A.transpose(0, 2, 1))
+    assert np.array_equal(A[:, 0, 1], -(1.0 * np.array([1.0, 1, 1]) + 0.5 * np.array([-0.2, 1, 0.4])))
+    assert np.array_equal(A[:, 2, 3], [-1.5, -1.5, 0.0])
+    assert not A[:, 1, 2].any() and not A[:, 4].any()
+    for I, AI in classes:
+        members = set(I.tolist())
+        assert not any(e.i in members and e.j in members for e in edges)
+        assert np.array_equal(AI, A[:, I])
+    assert sorted(q for I, _ in classes for q in I.tolist()) == [0, 1, 2, 3]
+
+
+def test_arrays_are_built_once_and_read_only():
+    inst = Instance(n=3, edges=(Edge(0, 2, 2.0, 1.0, 0.5, -1.0), Edge(1, 2, 3.0, 0, 0, 1)))
+    first, again = inst.arrays(), inst.arrays()
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    empty = Instance(n=2, edges=()).arrays()
+    assert [a.shape for a in empty] == [(0,), (0,), (0,), (0, 3)]
+
+
+def test_zero_weight_edge_still_separates_colours():
+    # the edge adds nothing to the coupling, but its qubits are still neighbours
+    inst = Instance(n=3, edges=(Edge(0, 1, 0.0, 1, 1, 1),))
+    A, classes = inst.incidence()
+    assert not A.any()
+    assert [I.tolist() for I, _ in classes] == [[0], [1]]
 
 
 def test_family_uniform_detection():
