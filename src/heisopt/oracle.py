@@ -8,9 +8,14 @@ ExactResult.method:
                entries without forming a matrix.
   * lanczos  - matrix-free Lanczos with full reorthogonalisation against a
                bounded basis, restarted from the current Ritz vector until
-               the true residual ||H psi - lambda psi|| is small.
+               the true residual ||H psi - lambda psi|| is small. Its
+               diagonal (offset plus ZZ terms) is built once per call; each
+               matvec adds one strided flip per edge with an XX or YY term
+               (_kernels, "matrix-free Hamiltonian").
 
-Both stop at MAX_QUBITS; larger instances raise OracleLimitError.
+Both stop at MAX_QUBITS; larger instances raise OracleLimitError, and so
+does a Lanczos run whose basis and vectors, (_BASIS + 4) * 2^n doubles
+(about 537 MB at n = 20), exceed the memory the kernel reports available.
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
 the reference point that an oracle pipeline reports. Its restarts
@@ -66,27 +71,38 @@ def _is_diagonal(inst: Instance) -> bool:
     return all(e.alpha == 0.0 and e.beta == 0.0 for e in inst.edges)
 
 
-def _bit_masks(inst: Instance, ei, ej):
-    mi = (np.int64(1) << (inst.n - 1 - ei)).astype(np.int64)
-    mj = (np.int64(1) << (inst.n - 1 - ej)).astype(np.int64)
-    return mi, mj
-
-
 def _diag_max(inst: Instance) -> float:
     ei, ej, w, wc3 = inst.arrays()
-    mi, mj = _bit_masks(inst, ei, ej)
-    wz = np.ascontiguousarray(-wc3[:, 2])
     base = float(w.sum() + inst.offset)
-    best, _ = _kernels.diag_extreme(1 << inst.n, mi, mj, wz, base)
-    return float(best)
+    best, _ = _kernels.diag_extreme(inst.n, ei, ej, -wc3[:, 2], base)
+    return best
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where the kernel reports none."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 def _lanczos_max(inst: Instance) -> ExactResult:
-    ei, ej, w, wc3 = inst.arrays()
-    mi, mj = _bit_masks(inst, ei, ej)
-    ident = float(w.sum() + inst.offset)
     size = 1 << inst.n
     k = min(_BASIS, size)
+    # held at once: the basis, the diagonal, out, v and one temporary
+    need = (k + 4) * size * 8
+    avail = _available_bytes()
+    if avail is not None and need > avail:
+        raise OracleLimitError(
+            f"Lanczos at n={inst.n} needs {need} bytes but only {avail} bytes are available"
+        )
+    ei, ej, w, wc3 = inst.arrays()
+    diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    terms = _kernels.flip_terms(inst.n, ei, ej, wc3)
     Q = np.empty((k, size))
     out = np.empty(size)
     # A random start has weight in every symmetry sector; all-ones has none
@@ -98,7 +114,7 @@ def _lanczos_max(inst: Instance) -> ExactResult:
         b = np.zeros(k)
         m = k
         for j in range(k):
-            _kernels.apply_edges(Q[j], out, mi, mj, wc3, ident)
+            _kernels.apply_edges(Q[j], out, diag, terms)
             a[j] = Q[j] @ out
             if j + 1 == k:
                 break
@@ -112,7 +128,7 @@ def _lanczos_max(inst: Instance) -> ExactResult:
         T = np.diag(a[:m]) + np.diag(b[: m - 1], 1) + np.diag(b[: m - 1], -1)
         v = np.linalg.eigh(T)[1][:, -1] @ Q[:m]
         v /= np.linalg.norm(v)
-        _kernels.apply_edges(v, out, mi, mj, wc3, ident)
+        _kernels.apply_edges(v, out, diag, terms)
         lam = float(v @ out)
         resid = float(np.linalg.norm(out - lam * v))
         if resid <= _TOL * (1.0 + abs(lam)):

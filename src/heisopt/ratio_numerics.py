@@ -98,8 +98,11 @@ def _hyp2f1(r: int, z: np.ndarray) -> np.ndarray:
 
 
 def _expectation(r: int, t: np.ndarray) -> np.ndarray:
-    """F(r, t) elementwise, computed on |t| so that it is exactly odd."""
-    a = np.abs(t)
+    """F(r, t) elementwise, computed on |t| so that it is exactly odd.
+
+    |t| is clamped to 1, so a value rounded just past +-1 gets F(r, +-1).
+    """
+    a = np.minimum(np.abs(t), 1.0)
     f = 2.0 * np.arcsin(a) / np.pi if r == 1 else _G[r] * a * _hyp2f1(r, a * a)
     return np.copysign(f, t)
 

@@ -293,6 +293,14 @@ def test_exact_refuses_zero_restarts_before_eigensolve(cycle_file, monkeypatch, 
     assert calls == []
 
 
+def test_exact_exits_4_when_lanczos_memory_is_short(cycle_file, monkeypatch, capsys):
+    from heisopt import oracle
+
+    monkeypatch.setattr(oracle, "_available_bytes", lambda: 1024)
+    assert main(["exact", cycle_file]) == 4
+    assert "bytes are available" in capsys.readouterr().err
+
+
 def test_pipeline_report_independent_of_blas_threads(tmp_path):
     # the sweeps run through BLAS gemm; its thread count must not change a bit
     inst = tmp_path / "g40.txt"

@@ -13,6 +13,7 @@ from heisopt import (
     exact_max_eigenvalue,
     product_energy,
 )
+from heisopt import _kernels, oracle
 
 
 def test_known_single_edge_values():
@@ -83,6 +84,75 @@ def test_diagonal_fast_path_larger_than_dense_limit():
     assert res.method == "diagonal"
     assert res.residual == 0.0
     assert res.lambda_max == pytest.approx(2 * 0.625 * 15, abs=1e-12)  # path is bipartite
+
+
+def _matvec(inst, psi):
+    ei, ej, w, wc3 = inst.arrays()
+    diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    out = np.empty_like(psi)
+    _kernels.apply_edges(psi, out, diag, _kernels.flip_terms(inst.n, ei, ej, wc3))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (2, [(0, 1)]),  # the smallest state: every pair-view axis but 1 and 3 has size 1
+        (6, [(0, 1), (2, 3), (4, 5)]),  # adjacent qubits: the middle axis has size 1
+        (6, [(0, 5)]),  # the outermost pair: the first and last axes have size 1
+        (7, [(1, 4), (1, 4), (0, 6), (2, 3), (5, 6)]),  # a parallel edge
+        (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),  # every pair
+    ],
+)
+def test_apply_edges_matches_kron_reference(rng, n, pairs):
+    # coefficients cycle through general edges, ZZ-only edges and edges
+    # without a ZZ term
+    kinds = [(None, None, None), (0.0, 0.0, None), (None, None, 0.0)]
+    edges = []
+    for e, (i, j) in enumerate(pairs):
+        a, b, g = (float(x) if k is None else k for k, x in zip(kinds[e % 3], rng.uniform(-1, 1, 3)))
+        edges.append(Edge(i, j, float(rng.uniform(0.1, 1.0)), a, b, g))
+    inst = Instance(n=n, edges=tuple(edges), offset=-0.375)
+    H = dense_reference(inst)
+    assert np.abs(H.imag).max() == 0.0
+    for _ in range(3):
+        psi = rng.standard_normal(1 << n)
+        want = H.real @ psi
+        assert np.abs(_matvec(inst, psi) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_diag_extreme_matches_dense_diagonal(rng):
+    for _ in range(20):
+        inst = random_instance(rng, n=int(rng.integers(2, 10)), coeffs="zz")
+        ei, ej, w, wc3 = inst.arrays()
+        best, arg = _kernels.diag_extreme(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+        dense = np.diag(dense_reference(inst)).real
+        top = np.flatnonzero(dense >= dense.max() - 1e-12)
+        assert best == pytest.approx(dense.max(), abs=1e-12)
+        # flipping every qubit leaves a ZZ energy unchanged, so the maximum is
+        # attained at least twice; both scans return its first basis state
+        assert top.size >= 2
+        assert arg == top[0]
+
+
+def test_lanczos_refuses_before_allocating(monkeypatch):
+    inst = Instance(n=12, edges=(Edge(0, 11, 1.0, 1, 1, 1),))
+    calls = []
+    monkeypatch.setattr(oracle, "_available_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(_kernels, "apply_edges", lambda *args: calls.append(1))
+    with pytest.raises(OracleLimitError) as err:
+        exact_max_eigenvalue(inst)
+    # 60 basis vectors plus 4 more of 2^12 doubles
+    assert str(64 * 8 * 4096) in str(err.value) and str(1 << 20) in str(err.value)
+    assert calls == []
+    # the diagonal route holds one vector and is not refused
+    zz = Instance(n=12, edges=(Edge(0, 11, 1.0, 0, 0, 1),))
+    assert exact_max_eigenvalue(zz).method == "diagonal"
+
+
+def test_available_bytes_reads_meminfo():
+    avail = oracle._available_bytes()
+    assert avail is None or avail > 0
 
 
 def test_best_product_single_edges(rng):

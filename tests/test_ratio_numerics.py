@@ -95,6 +95,16 @@ def test_bfv_expectation_boundary_is_one():
         assert abs(bfv_expectation(r, -1.0) + 1.0) < 1e-12
 
 
+def test_expectation_clamps_just_outside_the_unit_interval():
+    # a correlation rounded one ulp past +-1 used to give NaN (rank 1),
+    # a denormal (rank 2) or -2/3 (rank 3)
+    over = 1.0 + 2.0**-52
+    for r in (1, 2, 3):
+        got = ratio_numerics._expectation(r, np.array([-over, over]))
+        want = ratio_numerics._expectation(r, np.array([-1.0, 1.0]))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bfv_expectation_monotone(rng):
     for r in (1, 2, 3):
         ts = np.sort(rng.uniform(-1, 1, 200))
