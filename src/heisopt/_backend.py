@@ -25,7 +25,7 @@ DOMAIN_SOLVER = 0
 DOMAIN_ROUNDING = 1
 DOMAIN_PRODUCT_SEARCH = 2
 DOMAIN_GENERATE = 3
-DOMAIN_POWER = 4
+DOMAIN_LANCZOS = 4
 
 _MASK64 = (1 << 64) - 1
 

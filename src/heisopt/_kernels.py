@@ -267,8 +267,8 @@ def apply_edges(psi, out, diag, terms):
 
 # ------------------------------------------------------- diagonal extreme scan
 #
-# For instances with alpha = beta = 0 the Hamiltonian is diagonal; the
-# maximum over basis states is exact (residual 0).
+# When flip_terms is empty (no edge has a nonzero XX or YY term) the
+# Hamiltonian is diagonal; the maximum over basis states is exact (residual 0).
 
 
 def diag_extreme(n, ei, ej, fzz, base):

@@ -373,16 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
     except OracleLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ORACLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # ParseError is a ValueError; OSError covers unreadable and missing paths
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -275,26 +275,26 @@ def generate(kind: str, seed: int = 0, **params) -> Instance:
         return Instance(2, tuple(edges), label=f"single_edge-seed{seed}")
     weights = params.pop("weights", "unit")
     if kind == "complete":
-        n = _need_n(params)
+        n = _need_n(kind, params)
         _reject_params(kind, params)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "cycle":
-        n = _need_n(params)
+        n = _need_n(kind, params)
         _reject_params(kind, params)
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         pairs = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     elif kind == "bipartite":
-        n1 = int(params.pop("n1"))
-        n2 = int(params.pop("n2"))
+        n1 = int(_need(kind, params, "n1"))
+        n2 = int(_need(kind, params, "n2"))
         _reject_params(kind, params)
         if n1 < 1 or n2 < 1:
             raise ValueError("bipartite needs n1, n2 >= 1")
         n = n1 + n2
         pairs = [(i, n1 + j) for i in range(n1) for j in range(n2)]
     elif kind == "random_gnp":
-        n = _need_n(params)
-        p = float(params.pop("p"))
+        n = _need_n(kind, params)
+        p = float(_need(kind, params, "p"))
         _reject_params(kind, params)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {p}")
@@ -311,8 +311,15 @@ def generate(kind: str, seed: int = 0, **params) -> Instance:
     return Instance(n, edges, label=f"{kind}-n{n}-seed{seed}")
 
 
-def _need_n(params) -> int:
-    n = int(params.pop("n"))
+def _need(kind, params, name):
+    value = params.pop(name, None)
+    if value is None:
+        raise ValueError(f"{kind} needs the parameter {name!r}")
+    return value
+
+
+def _need_n(kind, params) -> int:
+    n = int(_need(kind, params, "n"))
     if n < 2:
         raise ValueError("need n >= 2")
     return n

@@ -1,17 +1,16 @@
 """Exact and heuristic reference values for small instances.
 
-Two eigenvalue routes, picked by structure and reported as
-ExactResult.method:
+Two eigenvalue routes, picked from the matrix-free operator
+(_kernels, "matrix-free Hamiltonian") and reported as ExactResult.method:
 
-  * diagonal - every edge has alpha = beta = 0, so the Hamiltonian is
-               diagonal in the computational basis; scan 2^n diagonal
-               entries without forming a matrix.
+  * diagonal - no edge has a nonzero XX or YY term (flip_terms is empty),
+               so the Hamiltonian is diagonal in the computational basis;
+               scan its 2^n diagonal entries without forming a matrix.
   * lanczos  - matrix-free Lanczos with full reorthogonalisation against a
                bounded basis, restarted from the current Ritz vector until
                the true residual ||H psi - lambda psi|| is small. Its
                diagonal (offset plus ZZ terms) is built once per call; each
-               matvec adds one strided flip per edge with an XX or YY term
-               (_kernels, "matrix-free Hamiltonian").
+               matvec adds one strided flip per flip term.
 
 Both stop at MAX_QUBITS; larger instances raise OracleLimitError, and so
 does a Lanczos run whose basis and vectors, (_BASIS + 4) * 2^n doubles
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._backend import DOMAIN_POWER, DOMAIN_PRODUCT_SEARCH, rng_for
+from ._backend import DOMAIN_LANCZOS, DOMAIN_PRODUCT_SEARCH, rng_for
 from .instance import Instance
 # build_dense is not called here; perfbench's traced run wraps oracle.build_dense.
 from .pauli import ProductState, build_dense  # noqa: F401
@@ -67,17 +66,6 @@ class ExactResult:
     residual: float
 
 
-def _is_diagonal(inst: Instance) -> bool:
-    return all(e.alpha == 0.0 and e.beta == 0.0 for e in inst.edges)
-
-
-def _diag_max(inst: Instance) -> float:
-    ei, ej, w, wc3 = inst.arrays()
-    base = float(w.sum() + inst.offset)
-    best, _ = _kernels.diag_extreme(inst.n, ei, ej, -wc3[:, 2], base)
-    return best
-
-
 def _available_bytes() -> int | None:
     """MemAvailable from /proc/meminfo, or None where the kernel reports none."""
     try:
@@ -90,24 +78,24 @@ def _available_bytes() -> int | None:
     return None
 
 
-def _lanczos_max(inst: Instance) -> ExactResult:
-    size = 1 << inst.n
+def _lanczos_max(zz, terms) -> ExactResult:
+    """Lanczos on the diagonal zz_diagonal(*zz) plus the flips of terms."""
+    n = zz[0]
+    size = 1 << n
     k = min(_BASIS, size)
     # held at once: the basis, the diagonal, out, v and one temporary
     need = (k + 4) * size * 8
     avail = _available_bytes()
     if avail is not None and need > avail:
         raise OracleLimitError(
-            f"Lanczos at n={inst.n} needs {need} bytes but only {avail} bytes are available"
+            f"Lanczos at n={n} needs {need} bytes but only {avail} bytes are available"
         )
-    ei, ej, w, wc3 = inst.arrays()
-    diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
-    terms = _kernels.flip_terms(inst.n, ei, ej, wc3)
+    diag = _kernels.zz_diagonal(*zz)
     Q = np.empty((k, size))
     out = np.empty(size)
     # A random start has weight in every symmetry sector; all-ones has none
     # in the singlet sector, where lambda_max of antiferromagnetic edges lies.
-    v = rng_for(0, DOMAIN_POWER, 0).standard_normal(size)
+    v = rng_for(0, DOMAIN_LANCZOS, 0).standard_normal(size)
     for _ in range(_MAX_RESTARTS):
         Q[0] = v / np.linalg.norm(v)
         a = np.zeros(k)
@@ -147,9 +135,13 @@ def exact_max_eigenvalue(inst: Instance) -> ExactResult:
     """
     if inst.n > MAX_QUBITS:
         raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
-    if _is_diagonal(inst):
-        return ExactResult(lambda_max=_diag_max(inst), method="diagonal", residual=0.0)
-    return _lanczos_max(inst)
+    ei, ej, w, wc3 = inst.arrays()
+    zz = (inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    terms = _kernels.flip_terms(inst.n, ei, ej, wc3)
+    if not terms:
+        best, _ = _kernels.diag_extreme(*zz)
+        return ExactResult(lambda_max=best, method="diagonal", residual=0.0)
+    return _lanczos_max(zz, terms)
 
 
 @dataclass(frozen=True)
@@ -179,6 +171,8 @@ def best_product_state(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be positive")
     ident = float(inst.arrays()[2].sum() + inst.offset)
     A, classes = inst.incidence()
 

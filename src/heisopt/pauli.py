@@ -8,6 +8,12 @@ the Z = +1 eigenstate. With it, every edge term
     w * (I - alpha XX - beta YY - gamma ZZ)
 
 is a real symmetric matrix (Y x Y has real entries).
+
+build_dense writes out the oracle's matrix-free operator
+(_kernels.zz_diagonal and flip_terms) into a 2^n x 2^n matrix, so one module
+says how an edge becomes matrix entries. Every two-qubit Pauli expansion
+(Fano forms, the reduction's shared term) contracts one table,
+_PAULI2[a, b] = sigma_a x sigma_b with sigma_0 = I.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instance as _inst
-from ._kernels import product_energy_kernel
+from ._kernels import flip_terms, product_energy_kernel, zz_diagonal
 
 __all__ = [
     "I2",
@@ -45,10 +51,9 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
-_XX = np.kron(SX, SX)
-_YY = np.kron(SY, SY)
-_ZZ = np.kron(SZ, SZ)
-_I4 = np.eye(4, dtype=complex)
+_SIGMA = np.stack((I2, SX, SY, SZ))
+# _PAULI2[a, b] = kron(_SIGMA[a], _SIGMA[b])
+_PAULI2 = np.einsum("aij,bkl->abikjl", _SIGMA, _SIGMA).reshape(4, 4, 4, 4)
 
 # largest n build_dense accepts: its 2^n x 2^n complex matrix is 4 GiB at 14
 DENSE_LIMIT = 14
@@ -68,8 +73,11 @@ class DenseHermitian:
         d = H.shape[0]
         if d & (d - 1) or d == 0:
             raise ValueError(f"dimension {d} is not a power of two")
-        if np.abs(H - H.conj().T).max() > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        # row blocks of about 1 MiB, so the check adds no matrix-sized temporaries
+        step = max(1, (1 << 16) // d)
+        for a in range(0, d, step):
+            if np.abs(H[a : a + step] - H[:, a : a + step].conj().T).max() > 1e-12:
+                raise ValueError("matrix is not Hermitian within 1e-12")
 
     @property
     def dim(self) -> int:
@@ -103,25 +111,15 @@ def build_dense(inst: _inst.Instance) -> DenseHermitian:
     """Full 2^n matrix of the instance Hamiltonian (offset included), n <= DENSE_LIMIT."""
     if inst.n > DENSE_LIMIT:
         raise ValueError(f"n={inst.n} exceeds the dense-size guard {DENSE_LIMIT}")
-    size = 1 << inst.n
-    H = np.zeros((size, size), dtype=complex)
-    s = np.arange(size)
-    for e in inst.edges:
-        T = e.w * (_I4 - e.alpha * _XX - e.beta * _YY - e.gamma * _ZZ)
-        shift_i = inst.n - 1 - e.i
-        shift_j = inst.n - 1 - e.j
-        pat = 2 * ((s >> shift_i) & 1) + ((s >> shift_j) & 1)
-        for ap in range(4):
-            rows = s[pat == ap]
-            for bp in range(4):
-                v = T[ap, bp]
-                if v == 0:
-                    continue
-                x = ap ^ bp
-                cols = rows ^ (((x >> 1) & 1) << shift_i) ^ ((x & 1) << shift_j)
-                H[rows, cols] += v
-    if inst.offset:
-        H[s, s] += inst.offset
+    n = inst.n
+    ei, ej, w, wc3 = inst.arrays()
+    s = np.arange(1 << n)
+    H = np.zeros((s.size, s.size), dtype=complex)
+    H[s, s] = zz_diagonal(n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    for shape, P in flip_terms(n, ei, ej, wc3):
+        # the bits of qubits j and i have the values shape[4] and 2 shape[2] shape[4]
+        mask = shape[4] * (1 + 2 * shape[2])
+        H[s, s ^ mask] += np.broadcast_to(P, shape).ravel()
     return DenseHermitian(H)
 
 
@@ -177,27 +175,14 @@ def _as_4x4(H) -> np.ndarray:
 
 def fano_decompose(H4) -> FanoForm:
     """Normalized Pauli-basis overlaps of a 4x4 Hermitian matrix."""
-    A = _as_4x4(H4)
-    kappa = A.trace().real / 4
-    m = np.empty((3, 3))
-    r = np.empty(3)
-    s = np.empty(3)
-    for a in range(3):
-        r[a] = (np.kron(PAULIS[a], I2) @ A).trace().real / 4
-        s[a] = (np.kron(I2, PAULIS[a]) @ A).trace().real / 4
-        for b in range(3):
-            m[a, b] = (np.kron(PAULIS[a], PAULIS[b]) @ A).trace().real / 4
-    return FanoForm(float(kappa), m, r, s)
+    c = np.einsum("abij,ji->ab", _PAULI2, _as_4x4(H4)).real / 4
+    return FanoForm(float(c[0, 0]), c[1:, 1:], c[1:, 0], c[0, 1:])
 
 
 def fano_compose(f: FanoForm) -> np.ndarray:
-    A = f.kappa * _I4.copy()
-    for a in range(3):
-        A += f.r[a] * np.kron(PAULIS[a], I2)
-        A += f.s[a] * np.kron(I2, PAULIS[a])
-        for b in range(3):
-            A += f.m[a, b] * np.kron(PAULIS[a], PAULIS[b])
-    return A
+    c = np.empty((4, 4))
+    c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = f.kappa, f.r, f.s, f.m
+    return np.einsum("ab,abij->ij", c, _PAULI2)
 
 
 # ------------------------------------------------------------------ SU(2) lift
@@ -258,12 +243,8 @@ def su2_lift(O) -> SingleQubitUnitary:
 def adjoint_rotation(u: SingleQubitUnitary) -> np.ndarray:
     """The SO(3) matrix O with U sigma_a U^dag = sum_b O[b,a] sigma_b."""
     U = np.asarray(getattr(u, "u", u), dtype=complex)
-    O = np.empty((3, 3))
-    for a in range(3):
-        conj = U @ PAULIS[a] @ U.conj().T
-        for b in range(3):
-            O[b, a] = (PAULIS[b] @ conj).trace().real / 2
-    return O
+    # O[b, a] = tr(sigma_b U sigma_a U^dag) / 2
+    return np.einsum("bij,jk,akl,il->ba", _SIGMA[1:], U, _SIGMA[1:], U.conj()).real / 2
 
 
 # ---------------------------------------------------------- unitary reduction
@@ -294,8 +275,7 @@ def reduce_instance(inst: _inst.Instance, term=None):
         shared = inst.edges[0].coeffs
         if any(e.coeffs != shared for e in inst.edges):
             raise ValueError("edges carry different coefficient triples")
-        a, b, g = shared
-        term = _I4 - a * _XX - b * _YY - g * _ZZ
+        term = fano_compose(FanoForm(1.0, -np.diag(shared), np.zeros(3), np.zeros(3)))
     f = fano_decompose(term)
     if max(np.abs(f.r).max(), np.abs(f.s).max()) > 1e-9:
         raise ValueError("term has single-qubit components (r or s nonzero)")

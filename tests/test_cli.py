@@ -134,6 +134,16 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("this is not an instance\n")
     assert main(["solve", str(bad)]) == 2
     assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+    assert main(["solve", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, missing",
+    [(["cycle"], "'n'"), (["bipartite", "--n1", "2"], "'n2'"), (["random_gnp", "--n", "5"], "'p'")],
+)
+def test_gen_names_a_missing_size(args, missing, capsys):
+    assert main(["gen", *args]) == 2
+    assert missing in capsys.readouterr().err
 
 
 def test_round_rejects_duplicate_solution_rows(tmp_path):

@@ -86,6 +86,16 @@ def test_diagonal_fast_path_larger_than_dense_limit():
     assert res.lambda_max == pytest.approx(2 * 0.625 * 15, abs=1e-12)  # path is bipartite
 
 
+def test_zero_weight_flip_edge_takes_diagonal_route():
+    # the route follows the operator: an XX or YY edge of weight 0 adds no
+    # flip term, so the Hamiltonian is still diagonal
+    zz = tuple(Edge(i, i + 1, 0.625, 0, 0, 1) for i in range(9))
+    inst = Instance(n=10, edges=zz + (Edge(0, 9, 0.0, 1, 0, 0), Edge(2, 5, 0.0, 0.5, -1, 0)))
+    res = exact_max_eigenvalue(inst)
+    assert res.method == "diagonal"
+    assert res.lambda_max == exact_max_eigenvalue(Instance(n=10, edges=zz)).lambda_max
+
+
 def _matvec(inst, psi):
     ei, ej, w, wc3 = inst.arrays()
     diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
@@ -209,6 +219,13 @@ def test_best_product_matches_closed_form(rng):
         closed = edge_opt_prod(a, b, g)
         assert found <= closed + 1e-9
         assert abs(found - closed) < 1e-6
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -5])
+def test_best_product_refuses_max_sweeps_below_one(max_sweeps):
+    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
+    with pytest.raises(ValueError, match="max_sweeps"):
+        best_product_state(inst, max_sweeps=max_sweeps)
 
 
 def test_restarts_deterministic():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from heisopt import (
     reduce_instance,
     su2_lift,
 )
-from heisopt.pauli import SX, SY, SZ
+from heisopt.pauli import SX, SY, SZ, DenseHermitian
 
 
 def test_build_dense_matches_kron_reference(rng):
@@ -50,6 +52,30 @@ def test_build_dense_size_limit():
     inst = Instance(n=15, edges=(Edge(0, 14, 1.0, 0, 0, 1),))
     with pytest.raises(ValueError):
         build_dense(inst)
+
+
+def test_build_dense_holds_about_one_matrix(rng):
+    # the Hermitian check must not add matrix-sized temporaries to the build
+    from conftest import random_instance
+
+    inst = random_instance(rng, n=10)
+    tracemalloc.start()
+    try:
+        H = build_dense(inst).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * H.nbytes
+
+
+def test_dense_hermitian_checks_every_row_block():
+    H = np.eye(1024, dtype=complex)
+    DenseHermitian(H)
+    H[-1, -1] = 1 + 1e-9j  # only the last row block holds this entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DenseHermitian(H)
+    with pytest.raises(ValueError, match="power of two"):
+        DenseHermitian(np.eye(3))
 
 
 def test_product_energy_matches_density_trace(rng):
