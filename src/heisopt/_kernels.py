@@ -5,21 +5,19 @@ over qubits: a class is an independent set, so one batched update of all its
 qubits is an exact block maximization.
 
 Shared array conventions:
-  V    (n, 3, 3n) float64, V[i, k] is the Gram vector of Pauli axis k on qubit i
-  B    (n, 3) float64 Bloch vectors; product_energy_kernel also takes a leading
-       trial axis, B (b, n, 3)
+  W    (3, n, d) float64, both ascents' state, updated in place: W[k, i] is
+       qubit i's vector for Pauli axis k; d = 3n Gram coordinates for the
+       relaxation, d = R restarts (W[:, i, r] a Bloch vector) for the search
+  B    (..., n, 3) float64 Bloch vectors, product_energy_kernel's input
   ei, ej (m,) int64 edge endpoints, ei < ej; wc3 (m, 3) float64,
        wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma);
        the edge table of instance.Instance.arrays
   A    (3, n, n) float64 dense coupling, A[k, i, j] = A[k, j, i] = sum of
        -wc3[e, k] over the edges e between i and j (colour_classes)
 
-Both ascents update in place and take A and its colour classes from
-Instance.incidence, which calls colour_classes. The relaxation ascends one
-V and stops on its dual gap (sdp_dual_bound). The product search takes a
-leading restart axis, B (R, n, 3): its restarts sweep in lock-step, each
-stops once a sweep gains less than tol and is frozen from then on; its
-energy is wsum + 1/2 sum_k <W_k, A_k W_k>, one matmul.
+The couplings of a class I on axis k are one matmul A[k, I] @ W[k]. The
+relaxation stops on its dual gap (sdp_dual_bound); the product search stops
+all its restarts once none gains tol in a sweep.
 """
 
 from __future__ import annotations
@@ -28,13 +26,6 @@ import numpy as np
 
 
 # ---------------------------------------------------------------- objectives
-
-
-def sdp_objective_kernel(V, ei, ej, wc3, wsum):
-    """sum_e w*(1 - alpha<v_i1,v_j1> - beta<v_i2,v_j2> - gamma<v_i3,v_j3>)."""
-    if ei.shape[0] == 0:
-        return wsum
-    return wsum - np.einsum("ek,ekd,ekd->", wc3, V[ei], V[ej])
 
 
 def product_energy_kernel(B, ei, ej, wc3, wsum):
@@ -61,8 +52,8 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # Qubits that share no edge do not see each other's block, so updating a whole
 # independent set at once is still an exact block maximization. Both ascents
 # sweep over greedy colour classes; per class, the couplings of every member
-# (in every still-active restart, for the product search) come out of one
-# matmul with the class's rows of the dense coupling A.
+# (in every restart, for the product search) come out of one matmul with the
+# class's rows of the dense coupling A.
 
 
 def colour_classes(n, ei, ej, wc3):
@@ -94,7 +85,7 @@ def colour_classes(n, ei, ej, wc3):
 #
 # Block update for qubit i: maximize tr(Vi^T C) over 3n x 3 orthonormal frames
 # Vi, with C the coupling matrix of its neighbours' vectors. Solved by the
-# thin SVD C = U S W^T: Vi = U W^T (orthogonal Procrustes). U is orthonormal
+# thin SVD C = U S Q^T: Vi = U Q^T (orthogonal Procrustes). U is orthonormal
 # even where C is rank-deficient.
 #
 # One class update covers every member of the class with one matmul and one
@@ -105,16 +96,13 @@ def colour_classes(n, ei, ej, wc3):
 BOUND_EVERY = 10
 
 
-def sdp_sweeps(V, A, classes, wsum, max_sweeps, gap_tol):
-    """Ascend V (n, 3, 3n) in place until its dual gap closes or max_sweeps.
+def sdp_sweeps(W, A, classes, wsum, max_sweeps, gap_tol):
+    """Ascend the Gram vectors W (3, n, 3n) in place until the dual gap closes.
 
-    The gap is (bound - value) / max(1, |value|). Returns (value, bound,
-    sweeps, converged, monotone) at the final V; monotone is False if a bound
-    evaluation saw the value fall. The sweeps work on a copy in (3, n, 3n)
-    layout, so that the couplings of a class on axis k are the matmul
-    A[k, I] @ W[k].
+    The gap is (bound - value) / max(1, |value|); the ascent also stops at
+    max_sweeps. Returns (value, bound, sweeps, converged, monotone) at the
+    final W; monotone is False if a bound evaluation saw the value fall.
     """
-    W = V.transpose(1, 0, 2).copy()
     value = -np.inf
     monotone = True
     sweeps = 0
@@ -132,12 +120,11 @@ def sdp_sweeps(V, A, classes, wsum, max_sweeps, gap_tol):
         sweeps += 1
         if sweeps % BOUND_EVERY and sweeps < max_sweeps:
             continue
-        new, bound = sdp_dual_bound(W.transpose(1, 0, 2), A, wsum)
+        new, bound = sdp_dual_bound(W, A, wsum)
         monotone &= new >= value - 1e-8 * (1.0 + abs(value))
         value = new
         converged = (bound - value) / max(1.0, abs(value)) <= gap_tol
         if converged or sweeps >= max_sweeps:
-            V[:] = W.transpose(1, 0, 2)
             return value, bound, sweeps, converged, monotone
 
 
@@ -147,16 +134,17 @@ def sdp_sweeps(V, A, classes, wsum, max_sweeps, gap_tol):
 # is max wsum + <C, X> over PSD X whose 3x3 diagonal blocks are I. For any
 # symmetric 3x3 blocks Lambda_i and S = blkdiag(Lambda) - C, every such X has
 # <C, X> = sum_i tr Lambda_i - <S, X> <= sum_i tr Lambda_i + 3n max(0, -lambda_min(S)),
-# since tr X = 3n. Lambda_i = sym((C V)_i V_i^T) makes sum_i tr Lambda_i the
-# objective at V, so the bound meets the objective at an optimum (Boumal,
-# Voroninski & Bandeira 2016, arXiv:1606.04970).
+# since tr X = 3n. Lambda_i = sym((C V)_i V_i^T), with V the Gram vectors held
+# in W, makes sum_i tr Lambda_i the objective at V, so the bound meets the
+# objective at an optimum (Boumal, Voroninski & Bandeira 2016,
+# arXiv:1606.04970).
 
 
-def sdp_dual_bound(V, A, wsum):
-    """(value, bound) at a feasible V (n, 3, 3n); bound caps the relaxation optimum."""
-    n = V.shape[0]
-    CV = 0.5 * (A @ V.transpose(1, 0, 2))  # (3, n, 3n): row (i, k) at [k, i]
-    M = np.einsum("kid,ild->ikl", CV, V)
+def sdp_dual_bound(W, A, wsum):
+    """(value, bound) at feasible Gram vectors W (3, n, 3n); bound caps the optimum."""
+    n = W.shape[1]
+    CW = 0.5 * (A @ W)  # (3, n, 3n): row (i, k) of C V at [k, i]
+    M = np.einsum("kid,lid->ikl", CW, W)
     Lam = 0.5 * (M + M.transpose(0, 2, 1))
     S = np.zeros((n, 3, n, 3))
     for k in range(3):
@@ -174,24 +162,19 @@ def sdp_dual_bound(V, A, wsum):
 # optimum is the normalized coefficient vector.
 
 
-def ascent_sweeps(B, A, classes, wsum, max_sweeps, tol):
-    """Ascend every restart of B (R, n, 3) in place.
+def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
+    """Ascend every restart, a column of W (3, n, R), in place.
 
-    Returns per-restart arrays (energy, sweeps, converged). The sweeps work
-    on a copy in (3, n, R) layout, so that the local fields of a class on
-    axis k are one matmul A[k, I] @ W[k] for all restarts.
+    All restarts sweep until none gains tol in a sweep, or max_sweeps.
+    Returns (energy per restart, sweeps, converged per restart): a restart
+    has converged if its last sweep gained less than tol.
     """
-    R = B.shape[0]
 
-    def energies(W):
+    def energies():
         return wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)
 
-    W = B.transpose(2, 1, 0).copy()
-    energy = energies(W)
-    sweeps = np.zeros(R, dtype=np.int64)
-    converged = np.zeros(R, dtype=bool)
-    act = np.arange(R)
-    while act.size:
+    energy = energies()
+    for sweeps in range(1, max_sweeps + 1):
         for I, AI in classes:
             c = AI @ W  # (3, |I|, R)
             nc = np.sqrt(np.einsum("kir,kir->ir", c, c))
@@ -202,16 +185,11 @@ def ascent_sweeps(B, A, classes, wsum, max_sweeps, tol):
                 # a (qubit, restart) pair with a zero field keeps its vector
                 q, r = np.nonzero(live)
                 W[:, I[q], r] = c[:, q, r] / nc[q, r]
-        new = energies(W)
-        gain = new - energy[act]
-        sweeps[act] += 1
-        energy[act] = new
-        done = gain < tol
-        converged[act[done]] = True
-        stop = done | (sweeps[act] >= max_sweeps)
-        if stop.any():
-            B[act[stop]] = W[:, :, stop].transpose(2, 1, 0)
-            act, W = act[~stop], W[:, :, ~stop]
+        new = energies()
+        converged = new - energy < tol
+        energy = new
+        if converged.all():
+            break
     return energy, sweeps, converged
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import operator
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class ParseError(ValueError):
     """Malformed instance text; message carries the 1-based line number."""
 
 
+def _is_index(x) -> bool:
+    """Integral for operator.index (numpy integers too), and not a bool."""
+    return hasattr(type(x), "__index__") and not isinstance(x, (bool, np.bool_))
+
+
 def _check_real(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -62,8 +68,10 @@ class Edge:
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.i, int) and isinstance(self.j, int)):
-            raise ValueError("edge endpoints must be integers")
+        if not (_is_index(self.i) and _is_index(self.j)):
+            raise ValueError(f"edge endpoints must be integers, got ({self.i!r}, {self.j!r})")
+        object.__setattr__(self, "i", operator.index(self.i))
+        object.__setattr__(self, "j", operator.index(self.j))
         if not 0 <= self.i < self.j:
             raise ValueError(f"edge endpoints must satisfy 0 <= i < j, got ({self.i}, {self.j})")
         object.__setattr__(self, "w", _check_real("weight", self.w))
@@ -95,8 +103,9 @@ class Instance:
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_index(self.n) or self.n < 1:
             raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "offset", _check_real("offset", self.offset))
         for e in self.edges:

@@ -134,19 +134,20 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     best = None
     total = capped = 0
     for k in range(cfg.restarts):
-        V = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k))
+        # in the kernels' layout (3, n, 3n)
+        W = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k)).transpose(1, 0, 2).copy()
         value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(
-            V, A, classes, wsum, cfg.max_sweeps, GAP_TOLERANCE
+            W, A, classes, wsum, cfg.max_sweeps, GAP_TOLERANCE
         )
         if not monotone:
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
         total += sweeps
         if best is None or value > best[1]:
-            best = (V, value, bound, converged)
+            best = (W, value, bound, converged)
         if converged:
             break
         capped += 1
-    V, value, bound, converged = best
+    W, value, bound, converged = best
     if capped:
         log.warning(
             "moment relaxation: %d of %d attempts stopped at max_sweeps=%d; "
@@ -161,7 +162,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
         capped=capped,
         upper_bound=bound + inst.offset,
     )
-    return MomentSolution(vectors=V, value=value + inst.offset, diagnostics=diag)
+    return MomentSolution(vectors=W.transpose(1, 0, 2), value=value + inst.offset, diagnostics=diag)
 
 
 def sdp_objective(inst: Instance, sol: MomentSolution) -> float:
@@ -169,9 +170,9 @@ def sdp_objective(inst: Instance, sol: MomentSolution) -> float:
     if sol.n != inst.n:
         raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
     ei, ej, w, wc3 = inst.arrays()
-    return float(
-        _kernels.sdp_objective_kernel(sol.vectors, ei, ej, wc3, w.sum() + inst.offset)
-    )
+    # each of the 3n Gram coordinates scored as a Bloch array (n, 3), without wsum
+    cols = _kernels.product_energy_kernel(sol.vectors.transpose(2, 0, 1), ei, ej, wc3, 0.0)
+    return float(cols.sum() + w.sum() + inst.offset)
 
 
 def check_feasibility(sol: MomentSolution) -> FeasibilityReport:

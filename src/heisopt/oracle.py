@@ -17,11 +17,11 @@ does a Lanczos run whose basis and vectors, (_BASIS + 4) * 2^n doubles
 (about 537 MB at n = 20), exceed the memory the kernel reports available.
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
-the reference point that an oracle pipeline reports. Its restarts
-run as one lock-step batch over a leading restart axis (B of shape
-(R, n, 3)); each restart keeps its own Philox start and its own stop rule.
-A sweep sets the Bloch vectors one greedy colour class at a time (qubits
-that share no edge), every restart at once with one matmul per class.
+the reference point that an oracle pipeline reports. Its restarts are the
+columns of one array (W of shape (3, n, R)), each from its own Philox
+start; they sweep together and stop together. A sweep sets the Bloch
+vectors one greedy colour class at a time (qubits that share no edge),
+every restart at once with one matmul per class.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ MAX_QUBITS = 20
 _BASIS = 60
 _MAX_RESTARTS = 500
 _TOL = 1e-10
-# a product-search restart stops once a full sweep gains less than this
+# the product search stops once no restart gains this much in a full sweep
 _ASCENT_TOL = 1e-12
 
 
@@ -163,11 +163,11 @@ def best_product_state(
 
     Each sweep sets every Bloch vector to the normalized local field
     c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
-    the energy, one colour class of qubits at a time; a restart stops once
-    a full pass gains less than _ASCENT_TOL, or at max_sweeps. All restarts
-    run as one lock-step batch. `sweeps` is their total and `capped` counts
-    those stopped by max_sweeps, which also logs a warning on the "heisopt"
-    logger.
+    the energy, one colour class of qubits at a time. All restarts sweep as
+    one batch until no restart gains _ASCENT_TOL in a full pass, or at
+    max_sweeps. `sweeps` is restarts x batch sweeps and `capped` counts the
+    restarts whose last pass at max_sweeps still gained _ASCENT_TOL; a cap
+    also logs a warning on the "heisopt" logger.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -176,7 +176,8 @@ def best_product_state(
     ident = float(inst.arrays()[2].sum() + inst.offset)
     A, classes = inst.incidence()
 
-    B = np.empty((restarts, inst.n, 3))
+    # restart k is column k of the kernel's layout (3, n, R)
+    W = np.empty((3, inst.n, restarts))
     for k in range(restarts):
         rng = rng_for(seed, DOMAIN_PRODUCT_SEARCH, k)
         Bk = rng.standard_normal((inst.n, 3))
@@ -185,8 +186,8 @@ def best_product_state(
             bad = norms < 1e-12
             Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
             norms = np.linalg.norm(Bk, axis=1)
-        B[k] = Bk / norms[:, None]
-    energy, sweeps, converged = _kernels.ascent_sweeps(B, A, classes, ident, max_sweeps, _ASCENT_TOL)
+        W[:, :, k] = (Bk / norms[:, None]).T
+    energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, ident, max_sweeps, _ASCENT_TOL)
     best = int(np.argmax(energy))
     capped = int(restarts - converged.sum())
     if capped:
@@ -195,9 +196,9 @@ def best_product_state(
             capped, restarts, max_sweeps,
         )
     return ProductSearchResult(
-        state=ProductState(bloch=B[best].copy()),
+        state=ProductState(bloch=W[:, :, best].T),
         energy=float(energy[best]),
         restarts_used=restarts,
-        sweeps=int(sweeps.sum()),
+        sweeps=restarts * sweeps,
         capped=capped,
     )

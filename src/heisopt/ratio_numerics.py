@@ -54,6 +54,9 @@ _SERIES_TERMS = 40
 # 100x the points of the paper's 1e-4 grid; a finer step is refused before
 # anything is allocated
 _MAX_GRID_POINTS = 1_000_000
+# the points of a 0.1 grid; a coarser one misses the minima (a step of 2
+# leaves t = -1 and 1 only)
+_MIN_GRID_POINTS = 21
 
 
 def _check_rank(r: int) -> None:
@@ -148,7 +151,10 @@ def _grid(step: float) -> np.ndarray:
     points = 2.0 / step + 1e-9
     if not points < _MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} gives more than {_MAX_GRID_POINTS} grid points")
-    return -1.0 + np.arange(int(math.floor(points)) + 1) * step
+    count = int(math.floor(points)) + 1
+    if count < _MIN_GRID_POINTS:
+        raise ValueError(f"step {step!r} gives {count} grid points, fewer than {_MIN_GRID_POINTS}")
+    return -1.0 + np.arange(count) * step
 
 
 def approx_ratio_bfv(r: int, step: float = 0.01) -> RatioCurve:

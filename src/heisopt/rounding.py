@@ -27,14 +27,13 @@ infeasible point (check_feasibility) before drawing anything.
 Trials run in blocks. A block stacks its trials' draws, projects them with
 one matmul (R @ X^T for bfv, G @ V_a^T for the axis scheme), normalizes
 once and scores its trials with the product-energy kernel, which sums each
-trial's edge terms in the same order wherever the trial sits. The block
-holds as many trials as fit _BLOCK_BYTES of draws, (b, r, r*3n) float64,
-and the kernel takes as many at a time as fit the same budget of edge
-terms, (c, 3m) float64, so both sizes depend on the graph only and the
-temporaries stay bounded at any size. The axis scheme is the r = 1 case,
+trial's edge terms in the same order wherever the trial sits. A block
+holds as many trials as fit _BLOCK_BYTES of both its draws, (b, r, r*3n)
+float64, and its edge terms, (b, 3m), and is scored in one kernel call;
+its size depends on the graph only. The axis scheme is the r = 1 case,
 which keeps bfv at rank 1 on exactly the axis scheme's draws and
-arithmetic. Rounding runs in one thread: the work is numpy calls that hold
-the interpreter lock, and a thread pool over blocks measured slower.
+arithmetic. Rounding runs in one thread: the work is numpy calls that
+hold the interpreter lock, and a thread pool over blocks measured slower.
 
 The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
@@ -63,7 +62,8 @@ __all__ = [
     "gw_axis_round",
 ]
 
-# Byte budget of one block's Gaussian draws, (b, r, r*3n) float64.
+# Byte budget of one block's Gaussian draws, (b, r, r*3n) float64, and of its
+# edge terms, (b, 3m) float64.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -159,9 +159,9 @@ def _check_solution(inst: Instance, sol: MomentSolution) -> None:
         raise ValueError(f"solution is not feasible: {rep}")
 
 
-def _block_trials(n: int, r: int) -> int:
-    """Trials per block: as many r x r*3n Gaussian draws as fit the budget."""
-    return max(1, _BLOCK_BYTES // (8 * r * r * 3 * n))
+def _block_trials(n: int, m: int, r: int) -> int:
+    """Trials per block: as many r x r*3n draws, and 3m edge terms, as fit the budget."""
+    return max(1, _BLOCK_BYTES // (8 * max(r * r * 3 * n, 3 * m)))
 
 
 def _round_blocks(inst, trials, seed, r, X, to_bloch):
@@ -176,9 +176,7 @@ def _round_blocks(inst, trials, seed, r, X, to_bloch):
     ei, ej, w, wc3 = inst.arrays()
     ident = float(w.sum() + inst.offset)
     shape = (r, X.shape[1])
-    size = _block_trials(n, r)
-    # trials scored per kernel call: their (c, 3m) edge terms fit the budget
-    chunk = max(1, _BLOCK_BYTES // (8 * 3 * max(ei.shape[0], 1)))
+    size = _block_trials(n, inst.m, r)
     at = trial_streams(seed, DOMAIN_ROUNDING)
     energies = np.empty(trials)
     best_energy, best_bloch = -np.inf, None
@@ -191,11 +189,8 @@ def _round_blocks(inst, trials, seed, r, X, to_bloch):
         del G  # before the energy temporaries, to keep the peak at one budget
         bloch = np.zeros((b, n, 3))
         to_bloch(Y, t0, bloch)
-        for s in range(0, b, chunk):
-            energies[t0 + s : t0 + min(s + chunk, b)] = product_energy_kernel(
-                bloch[s : s + chunk], ei, ej, wc3, ident
-            )
         e = energies[t0 : t0 + b]
+        e[:] = product_energy_kernel(bloch, ei, ej, wc3, ident)
         k = int(np.argmax(e))
         if e[k] > best_energy:  # strict: an earlier block keeps a tie
             best_energy, best_bloch = e[k], bloch[k].copy()

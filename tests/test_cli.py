@@ -186,6 +186,14 @@ def test_ratio_tables_output(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("step", ["2", "1", "0.5"])
+def test_ratio_tables_refuses_coarse_grid_step(tmp_path, step, capsys):
+    out = tmp_path / "tables.txt"
+    assert main(["ratio-tables", "--grid-step", step, "--out", str(out)]) == 2
+    assert "fewer than 21" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", [0.02, 1e-4])
 def test_ratio_tables_evaluates_each_curve_once(tmp_path, monkeypatch, step):
     from heisopt import cli

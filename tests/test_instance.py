@@ -36,6 +36,21 @@ def test_instance_validation():
         Instance(n=0, edges=())
 
 
+def test_integral_indices_accepted_and_bools_refused():
+    # numpy integers are integers; they are stored as int
+    e = Edge(np.int64(0), np.int32(2), 1.0, 1, 1, 1)
+    assert (e.i, e.j) == (0, 2) and type(e.i) is int and type(e.j) is int
+    inst = Instance(np.int64(3), (e,))
+    assert inst.n == 3 and type(inst.n) is int
+    # a bool is not a qubit index, even where it equals one
+    for i, j in ((False, True), (np.False_, 1), (0, np.True_), (0.0, 1), ("0", 1)):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Edge(i, j, 1.0, 1, 1, 1)
+    for n in (True, np.True_, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            Instance(n, ())
+
+
 def test_parallel_edges_allowed():
     edges = (Edge(0, 1, 0.5, 1, 1, 1), Edge(0, 1, 0.5, -1, -1, -1))
     inst = Instance(n=2, edges=edges)

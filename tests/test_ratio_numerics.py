@@ -203,6 +203,15 @@ def test_grid_step_rejected_before_allocation(monkeypatch):
         approx_ratio_axis(1, step=0.01)
 
 
+def test_coarse_grid_step_rejected():
+    # a step of 2 leaves t = -1 and 1 only; 0.1 (21 points) is the coarsest grid
+    for fn in (approx_ratio_bfv, approx_ratio_axis):
+        for step, count in ((2.0, 2), (1.0, 3), (0.5, 5), (0.1000001, 20)):
+            with pytest.raises(ValueError, match=f"gives {count} grid points, fewer than 21"):
+                fn(2, step=step)
+        assert len(fn(1, step=0.1).samples) >= 20
+
+
 # reproduce_constants() rows computed by the term-by-term series evaluation
 # that the closed forms replaced: (scheme, r, step, ratio, t_star, gamma)
 _PINNED_CONSTANTS = [
