@@ -51,8 +51,10 @@ MAX_QUBITS = 20
 _BASIS = 60
 _MAX_RESTARTS = 500
 _TOL = 1e-10
-# the product search stops once no restart gains this much in a full sweep
+# the product search stops once no restart gains this much in a full sweep,
+# or after this many sweeps
 _ASCENT_TOL = 1e-12
+_MAX_SWEEPS = 10000
 
 
 class OracleLimitError(RuntimeError):
@@ -157,7 +159,6 @@ def best_product_state(
     inst: Instance,
     restarts: int = 50,
     seed: int = 0,
-    max_sweeps: int = 10000,
 ) -> ProductSearchResult:
     """Coordinate ascent over Bloch vectors, best of `restarts` random starts.
 
@@ -165,14 +166,12 @@ def best_product_state(
     c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
     the energy, one colour class of qubits at a time. All restarts sweep as
     one batch until no restart gains _ASCENT_TOL in a full pass, or at
-    max_sweeps. `sweeps` is restarts x batch sweeps and `capped` counts the
-    restarts whose last pass at max_sweeps still gained _ASCENT_TOL; a cap
+    _MAX_SWEEPS. `sweeps` is restarts x batch sweeps and `capped` counts the
+    restarts whose last pass at _MAX_SWEEPS still gained _ASCENT_TOL; a cap
     also logs a warning on the "heisopt" logger.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be positive")
     ident = float(inst.arrays()[2].sum() + inst.offset)
     A, classes = inst.incidence()
 
@@ -187,13 +186,13 @@ def best_product_state(
             Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
             norms = np.linalg.norm(Bk, axis=1)
         W[:, :, k] = (Bk / norms[:, None]).T
-    energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, ident, max_sweeps, _ASCENT_TOL)
+    energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, ident, _MAX_SWEEPS, _ASCENT_TOL)
     best = int(np.argmax(energy))
     capped = int(restarts - converged.sum())
     if capped:
         log.warning(
             "product search: %d of %d restarts stopped at max_sweeps=%d",
-            capped, restarts, max_sweeps,
+            capped, restarts, _MAX_SWEEPS,
         )
     return ProductSearchResult(
         state=ProductState(bloch=W[:, :, best].T),

@@ -1,15 +1,14 @@
 """Randomized rounding of moment-relaxation solutions to product states.
 
-Two schemes:
+Both schemes run one projection routine, _project: stack each qubit's Gram
+vectors on a list of r axes into a unit row x_i in R^{r*3n}, hit them with
+one shared Gaussian matrix R ~ N(0,1)^{r x r*3n}, and normalize: qubit i's
+Bloch vector is R x_i / ||R x_i|| spread over those axes.
 
-  * bfv_round - family-uniform instances only. Stack each qubit's active
-    Gram vectors into a unit row x_i in R^{r*3n}, hit them with one shared
-    Gaussian matrix R ~ N(0,1)^{r x r*3n}, and normalize: qubit i's Bloch
-    vector is R x_i / ||R x_i|| spread over the active axes.
-  * gw_axis_round - any instance. Pick the single axis with the largest
-    relaxation contribution, then cut it with a random hyperplane:
-    sign(g . v_{i,a*}) gives a +/-1 assignment, a basis-aligned product
-    state.
+  * bfv_round - family-uniform instances only, on the active axes.
+  * gw_axis_round - any instance, on the single axis a* with the largest
+    relaxation contribution: at r = 1, R x_i / ||R x_i|| is exactly
+    sign(g . v_{i,a*}), random-hyperplane rounding to a basis-aligned state.
 
 Both run `trials` independent draws, each a pure function of
 (seed, trial index): trial t draws from rng_for(seed, DOMAIN_ROUNDING, t).
@@ -20,20 +19,19 @@ The draws come from one reused generator, trial_streams(seed,
 DOMAIN_ROUNDING), which is set to trial t's stream before each draw and
 fills the trial's slot of the block in place: building a Philox per trial
 cost more than the trial's projection and scoring together.
-A trial that must redraw (a zero projection) rebuilds its own stream with
-rng_for and continues after its first draw. Both rounders refuse an
-infeasible point (check_feasibility) before drawing anything.
+A trial with a projection below 1e-300 in norm (for the axis scheme, a
+zero one) redraws: it rebuilds its own stream with rng_for and continues
+after its first draw. Both rounders refuse an infeasible point
+(check_feasibility) before drawing anything.
 
 Trials run in blocks. A block stacks its trials' draws, projects them with
-one matmul (R @ X^T for bfv, G @ V_a^T for the axis scheme), normalizes
-once and scores its trials with the product-energy kernel, which sums each
-trial's edge terms in the same order wherever the trial sits. A block
-holds as many trials as fit _BLOCK_BYTES of both its draws, (b, r, r*3n)
-float64, and its edge terms, (b, 3m), and is scored in one kernel call;
-its size depends on the graph only. The axis scheme is the r = 1 case,
-which keeps bfv at rank 1 on exactly the axis scheme's draws and
-arithmetic. Rounding runs in one thread: the work is numpy calls that
-hold the interpreter lock, and a thread pool over blocks measured slower.
+one matmul (R @ X^T), normalizes once and scores its trials with the
+product-energy kernel, which sums each trial's edge terms in the same order
+wherever the trial sits. A block holds as many trials as fit _BLOCK_BYTES
+of both its draws, (b, r, r*3n) float64, and its edge terms, (b, 3m), and
+is scored in one kernel call; its size depends on the graph only. Rounding
+runs in one thread: the work is numpy calls that hold the interpreter
+lock, and a thread pool over blocks measured slower.
 
 The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
@@ -164,15 +162,16 @@ def _block_trials(n: int, m: int, r: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(r * r * 3 * n, 3 * m)))
 
 
-def _round_blocks(inst, trials, seed, r, X, to_bloch):
-    """Score `trials` projection trials block by block; keep the best.
+def _project(inst, sol, trials, seed, axes):
+    """Round `trials` projections onto `axes` (a list) block by block; keep the best.
 
-    Trial t draws R_t ~ N(0,1)^{r x r*3n} from rng_for(seed, DOMAIN_ROUNDING, t)
-    and projects every qubit's row of X (n, r*3n): Y_t = R_t X^T. One matmul
-    covers a whole block. to_bloch(Y, t0, bloch) turns the projections Y
-    (b, r, n) of trials t0 .. t0+b-1 into Bloch vectors.
+    Trial t draws R_t ~ N(0,1)^{r x r*3n}, r = len(axes), from rng_for(seed,
+    DOMAIN_ROUNDING, t) and projects every qubit's row of X (n, r*3n):
+    Y_t = R_t X^T. One matmul covers a whole block.
     """
-    n = inst.n
+    n, r = inst.n, len(axes)
+    # x_i: the Gram vectors on `axes` concatenated in axis order, norm sqrt(r) -> 1
+    X = sol.vectors[:, axes].reshape(n, -1) / np.sqrt(r)
     ei, ej, w, wc3 = inst.arrays()
     ident = float(w.sum() + inst.offset)
     shape = (r, X.shape[1])
@@ -187,8 +186,17 @@ def _round_blocks(inst, trials, seed, r, X, to_bloch):
             at(t0 + k).standard_normal(shape, out=G[k])
         Y = (G.reshape(b * r, -1) @ X.T).reshape(b, r, n)
         del G  # before the energy temporaries, to keep the peak at one budget
+        norms = np.sqrt(np.einsum("brn,brn->bn", Y, Y))
+        # a qubit with a (numerically) zero projection: that trial redraws,
+        # continuing its own stream after the draw the block used
+        for k in np.flatnonzero((norms < 1e-300).any(axis=1)):
+            rng = rng_for(seed, DOMAIN_ROUNDING, t0 + int(k))
+            rng.standard_normal(shape)
+            while (norms[k] < 1e-300).any():
+                Y[k] = rng.standard_normal(shape) @ X.T
+                norms[k] = np.linalg.norm(Y[k], axis=0)
         bloch = np.zeros((b, n, 3))
-        to_bloch(Y, t0, bloch)
+        bloch[:, :, axes] = (Y / norms[:, None, :]).transpose(0, 2, 1)
         e = energies[t0 : t0 + b]
         e[:] = product_energy_kernel(bloch, ei, ej, wc3, ident)
         k = int(np.argmax(e))
@@ -219,24 +227,7 @@ def bfv_round(
         raise ValueError("need at least one trial")
     tag = projection_family(inst)
     _check_solution(inst, sol)
-    active = list(tag.active_axes)
-    r = tag.r
-    # x_i: active Gram vectors concatenated in axis order, norm sqrt(r) -> 1.
-    X = np.concatenate([sol.vectors[:, k, :] for k in active], axis=1) / np.sqrt(r)
-
-    def to_bloch(Y, t0, bloch):
-        norms = np.sqrt(np.einsum("brn,brn->bn", Y, Y))
-        # a qubit with a (numerically) zero projection: that trial redraws,
-        # continuing its own stream after the draw the block used
-        for k in np.flatnonzero((norms < 1e-300).any(axis=1)):
-            rng = rng_for(seed, DOMAIN_ROUNDING, t0 + int(k))
-            rng.standard_normal((r, X.shape[1]))
-            while (norms[k] < 1e-300).any():
-                Y[k] = rng.standard_normal((r, X.shape[1])) @ X.T
-                norms[k] = np.linalg.norm(Y[k], axis=0)
-        bloch[:, :, active] = (Y / norms[:, None, :]).transpose(0, 2, 1)
-
-    return _round_blocks(inst, trials, seed, r, X, to_bloch)
+    return _project(inst, sol, trials, seed, list(tag.active_axes))
 
 
 def gw_axis_round(
@@ -261,10 +252,4 @@ def gw_axis_round(
         dots = np.einsum("ed,ed->e", sol.vectors[ei, a, :], sol.vectors[ej, a, :])
         scores[a] = -float(wc3[:, a] @ dots)
     a_star = int(np.argmax(scores))  # lowest index wins ties
-
-    def to_bloch(Y, t0, bloch):
-        bloch[:, :, a_star] = np.where(Y[:, 0, :] < 0.0, -1.0, 1.0)  # zero rounds up
-
-    # contiguous like bfv_round's X, so that bfv at rank 1 runs the same matmul
-    Va = np.ascontiguousarray(sol.vectors[:, a_star, :])
-    return _round_blocks(inst, trials, seed, 1, Va, to_bloch)
+    return _project(inst, sol, trials, seed, [a_star])

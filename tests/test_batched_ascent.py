@@ -25,7 +25,7 @@ from heisopt import (
     check_feasibility,
     solve_moment_sdp,
 )
-from heisopt import _kernels
+from heisopt import _kernels, oracle
 from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for
 from heisopt.moment_sdp import _random_triads
 
@@ -149,7 +149,7 @@ def test_relaxation_matches_one_restart_loop(rng):
         assert bound >= value
 
 
-def test_max_sweeps_caps_every_restart(caplog):
+def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
     inst = Instance(
         n=4,
         edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.7, 1, 0, 1), Edge(2, 3, 0.4, 1, 1, 0),
@@ -169,8 +169,9 @@ def test_max_sweeps_caps_every_restart(caplog):
     )
 
     caplog.clear()
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="heisopt"):
-        ps = best_product_state(inst, restarts=5, max_sweeps=1)
+        ps = best_product_state(inst, restarts=5)
     assert ps.capped == ps.restarts_used == 5
     assert ps.sweeps == 5
     assert any("product search: 5 of 5 restarts" in r.getMessage() for r in caplog.records)

@@ -221,13 +221,6 @@ def test_best_product_matches_closed_form(rng):
         assert abs(found - closed) < 1e-6
 
 
-@pytest.mark.parametrize("max_sweeps", [0, -5])
-def test_best_product_refuses_max_sweeps_below_one(max_sweeps):
-    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
-    with pytest.raises(ValueError, match="max_sweeps"):
-        best_product_state(inst, max_sweeps=max_sweeps)
-
-
 def test_restarts_deterministic():
     inst = Instance(n=4, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(2, 3, 1.0, 1, 1, 1)))
     a = best_product_state(inst, restarts=7, seed=3)

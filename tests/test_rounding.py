@@ -8,6 +8,7 @@ from heisopt import (
     Instance,
     MomentSolution,
     SolverConfig,
+    bfv_expectation,
     bfv_round,
     caratheodory_split,
     exact_max_eigenvalue,
@@ -261,6 +262,15 @@ def edge_energy(inst, bloch):
     )
 
 
+def axis_star(inst, sol):
+    """The axis scheme's chosen axis, scored edge by edge."""
+    scores = [
+        -sum(e.w * e.coeffs[a] * sol.vectors[e.i, a] @ sol.vectors[e.j, a] for e in inst.edges)
+        for a in range(3)
+    ]
+    return int(np.argmax(scores))
+
+
 def one_trial_loop(inst, sol, scheme, trials, seed, skip_first=None):
     """Each trial on its own: its own stream, one projection, one energy.
 
@@ -273,11 +283,7 @@ def one_trial_loop(inst, sol, scheme, trials, seed, skip_first=None):
         X /= np.sqrt(len(active))
         r = len(active)
     else:
-        scores = [
-            -sum(e.w * e.coeffs[a] * sol.vectors[e.i, a] @ sol.vectors[e.j, a] for e in inst.edges)
-            for a in range(3)
-        ]
-        a_star = int(np.argmax(scores))
+        a_star = axis_star(inst, sol)
         X = sol.vectors[:, a_star, :]
         r = 1
     energies, blochs = [], []
@@ -357,7 +363,8 @@ def test_equal_axis_patterns_score_bitwise_equal(monkeypatch):
         assert np.array_equal(out.state.bloch, blochs[best])
 
 
-def test_zero_first_draw_redraws_from_own_stream(monkeypatch):
+@pytest.mark.parametrize("scheme", ["bfv", "axis"])
+def test_zero_first_draw_redraws_from_own_stream(monkeypatch, scheme):
     rng = np.random.default_rng(8)
     base = random_instance(rng, n=6, p=0.6)
     inst = Instance(n=6, edges=tuple(Edge(e.i, e.j, e.w, 1, 1, 0) for e in base.edges))
@@ -381,14 +388,55 @@ def test_zero_first_draw_redraws_from_own_stream(monkeypatch):
                 x[...] = 0.0
             return x
 
-    plain = bfv_round(inst, sol, trials=10, seed=1)
+    plain = ROUNDERS[scheme](inst, sol, trials=10, seed=1)
     monkeypatch.setattr(rounding, "trial_streams", lambda seed, domain: FirstDrawZero(real(seed, domain)))
-    out = bfv_round(inst, sol, trials=10, seed=1)
-    want, _ = one_trial_loop(inst, sol, "bfv", 10, seed=1, skip_first=3)
+    out = ROUNDERS[scheme](inst, sol, trials=10, seed=1)
+    want, _ = one_trial_loop(inst, sol, scheme, 10, seed=1, skip_first=3)
     got = np.array(out.per_trial_energies)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got[3] != plain.per_trial_energies[3]  # trial 3 used its second draw
     assert np.delete(got, 3).tolist() == np.delete(plain.per_trial_energies, 3).tolist()
+
+
+@pytest.fixture(scope="module")
+def expectation_inputs():
+    """G(16, 0.4) with random weights in three families and with arbitrary
+    coefficients, each with its solved relaxation."""
+    rng = np.random.default_rng(16)
+    inputs = {}
+    for name, coeffs in (("xy", (1, 1, 0)), ("xyz", (1, 1, 1)), ("z", (0, 0, 1)), ("arbitrary", None)):
+        inst = random_instance(rng, n=16, p=0.4)
+        if coeffs is not None:
+            inst = Instance(n=16, edges=tuple(Edge(e.i, e.j, e.w, *coeffs) for e in inst.edges))
+        inputs[name] = (inst, solve_moment_sdp(inst))
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "scheme, name",
+    [(s, f) for f in ("xy", "xyz", "z") for s in ("bfv", "axis")] + [("axis", "arbitrary")],
+)
+def test_trial_mean_matches_closed_form_expectation(expectation_inputs, scheme, name):
+    # E = offset + sum_e w_e (1 - c_e F(r, <x_i, x_j>)), x_i qubit i's Gram
+    # vectors on the rounded axes scaled to norm 1, c_e the edge's common
+    # coefficient there: the rank-r projection expectation, at r = 1 the
+    # Goemans-Williamson one
+    inst, sol = expectation_inputs[name]
+    if scheme == "bfv":
+        axes = list(is_family_uniform(inst).active_axes)
+    else:
+        axes = [axis_star(inst, sol)]
+    r = len(axes)
+    expected = inst.offset
+    for e in inst.edges:
+        t = sum(sol.vectors[e.i, a] @ sol.vectors[e.j, a] for a in axes) / r
+        # clipped: antiparallel Gram vectors can give t a few ulps below -1
+        expected += e.w * (1.0 - e.coeffs[axes[0]] * bfv_expectation(r, min(1.0, max(-1.0, t))))
+    trials = 20000
+    out = ROUNDERS[scheme](inst, sol, trials=trials, seed=11)
+    e = out.trial_energies
+    z = (e.mean() - expected) / (e.std(ddof=1) / np.sqrt(trials))
+    assert abs(z) <= 4.0, z
 
 
 def test_infeasible_solution_refused():
