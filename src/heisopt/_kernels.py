@@ -5,18 +5,21 @@ over qubits: a class is an independent set, so one batched update of all its
 qubits is an exact block maximization.
 
 Shared array conventions:
-  W    (3, n, d) float64, both ascents' state, updated in place: W[k, i] is
-       qubit i's vector for Pauli axis k; d = 3n Gram coordinates for the
-       relaxation, d = R restarts (W[:, i, r] a Bloch vector) for the search
+  U    (K, n, p) float64, the relaxation's state, updated in place: U[k, i]
+       is qubit i's unit row in block k, one block per distinct nonzero
+       axis coupling, at rank p
+  W    (3, n, R) float64, the product search's state, updated in place:
+       W[:, i, r] is restart r's Bloch vector for qubit i
   B    (..., n, 3) float64 Bloch vectors, product_energy_kernel's input
   ei, ej (m,) int64 edge endpoints, ei < ej; wc3 (m, 3) float64,
        wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma);
        the edge table of instance.Instance.arrays
   A    (3, n, n) float64 dense coupling, A[k, i, j] = A[k, j, i] = sum of
-       -wc3[e, k] over the edges e between i and j (colour_classes)
+       -wc3[e, k] over the edges e between i and j (colour_classes); AK
+       (K, n, n) stacks the relaxation blocks' couplings
 
-The couplings of a class I on axis k are one matmul A[k, I] @ W[k]. The
-relaxation stops on its dual gap (sdp_dual_bound); the product search stops
+The couplings of a class I are one matmul, AK[:, I] @ U or A[:, I] @ W. The
+relaxation stops on its dual gap (rank_bound); the product search stops
 all its restarts once none gains tol in a sweep.
 """
 
@@ -81,79 +84,71 @@ def colour_classes(n, ei, ej, wc3):
     return A, [(I, np.ascontiguousarray(A[:, I])) for I in classes]
 
 
+# One class update of either ascent. A qubit whose coupling is zero (in one
+# restart of the search, or one block of the relaxation) keeps its vector.
+
+
+def set_normalised(W, I, c, axis):
+    """W[:, I] = c scaled to unit norm along `axis`; a zero vector keeps W's value."""
+    nc = np.sqrt((c * c).sum(axis=axis, keepdims=True))
+    if (nc > 0.0).all():
+        W[:, I] = c / nc
+    else:
+        W[:, I] = np.where(nc > 0.0, c / np.where(nc > 0.0, nc, 1.0), W[:, I])
+
+
 # ------------------------------------------------------- SDP coordinate ascent
 #
-# Block update for qubit i: maximize tr(Vi^T C) over 3n x 3 orthonormal frames
-# Vi, with C the coupling matrix of its neighbours' vectors. Solved by the
-# thin SVD C = U S Q^T: Vi = U Q^T (orthogonal Procrustes). U is orthonormal
-# even where C is rank-deficient.
+# The relaxation is one Max-Cut-type SDP per distinct coupling A_k: maximize
+# 1/2 <A_k, Y> over PSD Y with unit diagonal, Y = U U^T for unit rows U (n, p).
+# With the other rows fixed the objective is linear in row i, so the block
+# optimum is the normalized coupling row (A_k U)_i, the product search's
+# update normalized over columns instead of over axes. All K blocks of U
+# (K, n, p) sweep in lock-step: one matmul per colour class.
 #
-# One class update covers every member of the class with one matmul and one
-# stacked SVD. The ascent stops on its own certificate: every BOUND_EVERY
-# sweeps, and at max_sweeps, it evaluates sdp_dual_bound and stops once the
-# relative gap is at most gap_tol.
+# Dual bound per block: lam_i = 1/2 u_i . (A_k U)_i makes sum(lam) the block's
+# objective, and S_k = diag(lam) - A_k / 2 gives every feasible Y
+# 1/2 <A_k, Y> = sum(lam) - <S_k, Y> <= sum(lam) + n max(0, -lambda_min(S_k)),
+# since tr Y = n. The bound meets the objective at an optimum (Boumal,
+# Voroninski & Bandeira 2016, arXiv:1606.04970). Every BOUND_EVERY sweeps, and
+# at max_sweeps, the ascent evaluates it and stops once the relative gap is at
+# most gap_tol.
 
 BOUND_EVERY = 10
 
 
-def sdp_sweeps(W, A, classes, wsum, max_sweeps, gap_tol):
-    """Ascend the Gram vectors W (3, n, 3n) in place until the dual gap closes.
+def rank_bound(U, AK, mult, wsum):
+    """(value, bound) at unit rows U (K, n, p); block k counts mult[k] times."""
+    n = U.shape[1]
+    lam = 0.5 * np.einsum("kip,kip->ki", U, AK @ U)
+    S = lam[:, :, None] * np.eye(n) - 0.5 * AK
+    shift = n * np.maximum(0.0, -np.linalg.eigvalsh(S)[:, 0])
+    blocks = lam.sum(axis=1)
+    return wsum + float(mult @ blocks), wsum + float(mult @ (blocks + shift))
 
-    The gap is (bound - value) / max(1, |value|); the ascent also stops at
-    max_sweeps. Returns (value, bound, sweeps, converged, monotone) at the
-    final W; monotone is False if a bound evaluation saw the value fall.
+
+def rank_sweeps(U, AK, classes, mult, wsum, max_sweeps, gap_tol):
+    """Ascend unit rows U (K, n, p) in place on couplings AK, classes [(I, AK[:, I])].
+
+    Stops once (bound - value) / max(1, |value|) <= gap_tol, or at max_sweeps.
+    Returns (value, bound, sweeps, converged, monotone); monotone is False if
+    a bound evaluation saw the value fall.
     """
     value = -np.inf
     monotone = True
     sweeps = 0
     while True:
         for I, AI in classes:
-            # couplings (|I|, 3n, 3); a zero matrix has singular values 0
-            U, sv, Vt = np.linalg.svd((AI @ W).transpose(1, 2, 0), full_matrices=False)
-            T = (U @ Vt).transpose(2, 0, 1)  # new triads (3, |I|, 3n)
-            live = sv.any(axis=1)
-            if live.all():
-                W[:, I] = T
-            else:
-                # a qubit with a zero coupling keeps its triad
-                W[:, I[live]] = T[:, live]
+            set_normalised(U, I, AI @ U, 2)  # coupling rows (K, |I|, p)
         sweeps += 1
         if sweeps % BOUND_EVERY and sweeps < max_sweeps:
             continue
-        new, bound = sdp_dual_bound(W, A, wsum)
+        new, bound = rank_bound(U, AK, mult, wsum)
         monotone &= new >= value - 1e-8 * (1.0 + abs(value))
         value = new
         converged = (bound - value) / max(1.0, abs(value)) <= gap_tol
         if converged or sweeps >= max_sweeps:
             return value, bound, sweeps, converged, monotone
-
-
-# ------------------------------------------------------------- SDP dual bound
-#
-# With C the 3n x 3n coupling, C[(i,k),(j,k)] = A[k, i, j] / 2, the relaxation
-# is max wsum + <C, X> over PSD X whose 3x3 diagonal blocks are I. For any
-# symmetric 3x3 blocks Lambda_i and S = blkdiag(Lambda) - C, every such X has
-# <C, X> = sum_i tr Lambda_i - <S, X> <= sum_i tr Lambda_i + 3n max(0, -lambda_min(S)),
-# since tr X = 3n. Lambda_i = sym((C V)_i V_i^T), with V the Gram vectors held
-# in W, makes sum_i tr Lambda_i the objective at V, so the bound meets the
-# objective at an optimum (Boumal, Voroninski & Bandeira 2016,
-# arXiv:1606.04970).
-
-
-def sdp_dual_bound(W, A, wsum):
-    """(value, bound) at feasible Gram vectors W (3, n, 3n); bound caps the optimum."""
-    n = W.shape[1]
-    CW = 0.5 * (A @ W)  # (3, n, 3n): row (i, k) of C V at [k, i]
-    M = np.einsum("kid,lid->ikl", CW, W)
-    Lam = 0.5 * (M + M.transpose(0, 2, 1))
-    S = np.zeros((n, 3, n, 3))
-    for k in range(3):
-        S[:, k, :, k] = -0.5 * A[k]
-    q = np.arange(n)
-    S[q, :, q, :] += Lam
-    mu = float(np.linalg.eigvalsh(S.reshape(3 * n, 3 * n))[0])
-    value = wsum + float(np.einsum("ikk->", Lam))
-    return value, value + 3 * n * max(0.0, -mu)
 
 
 # ------------------------------------------------------ Bloch coordinate ascent
@@ -176,15 +171,7 @@ def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
     energy = energies()
     for sweeps in range(1, max_sweeps + 1):
         for I, AI in classes:
-            c = AI @ W  # (3, |I|, R)
-            nc = np.sqrt(np.einsum("kir,kir->ir", c, c))
-            live = nc > 0.0
-            if live.all():
-                W[:, I] = c / nc
-            else:
-                # a (qubit, restart) pair with a zero field keeps its vector
-                q, r = np.nonzero(live)
-                W[:, I[q], r] = c[:, q, r] / nc[q, r]
+            set_normalised(W, I, AI @ W, 0)  # fields (3, |I|, R), over the axes
         new = energies()
         converged = new - energy < tol
         energy = new

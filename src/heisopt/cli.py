@@ -208,6 +208,7 @@ def _cmd_solve(args) -> int:
         "label": inst.label,
         "max_norm_deviation": feas.max_norm_deviation,
         "max_orthogonality_deviation": feas.max_orthogonality_deviation,
+        "rank": diag.rank,
         "restarts": diag.restarts,
         "sdp_upper_bound": diag.upper_bound,
         "sdp_value": sol.value,

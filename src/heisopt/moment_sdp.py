@@ -1,38 +1,29 @@
-"""Level-1 moment relaxation of lambda_max(H), solved at full rank.
+"""Level-1 moment relaxation of lambda_max(H), solved axis by axis at rank p.
 
-Variables are Gram vectors v_{i,k} in R^{3n} (axis k of qubit i), one
-orthonormal triad per qubit. That parameterization makes every constraint
-of the relaxation hold by construction:
+The variables are Gram vectors v_{i,k}, an orthonormal triad per qubit i,
+and the objective sum_e w*(1 - alpha <v_i1,v_j1> - beta <v_i2,v_j2> - gamma
+<v_i3,v_j3>) reads only same-axis inner products. So the relaxation is one
+Max-Cut-type SDP per axis coupling A[k], max 1/2 <A[k], Y> over PSD Y with
+unit diagonal, and three such Y make a feasible moment matrix. Axes with
+equal couplings (all three for the XYZ family) share one SDP, counted once
+per axis; an axis with a zero coupling adds 0 and holds a fixed vector.
 
-  * unit diagonal:            ||v_{i,k}|| = 1
-  * intra-qubit orthogonality: v_{i,k} . v_{i,l} = 0 for k != l
-  * PSD moment matrix:        M(ik, jl) = v_{i,k} . v_{j,l} is a Gram matrix
-
-and the objective sum_e w*(1 - alpha <v_i1,v_j1> - beta <v_i2,v_j2>
-- gamma <v_i3,v_j3>) is maximized by block-coordinate ascent over triads:
-the block update is an orthogonal Procrustes problem, solved exactly via a
-thin SVD of the 3n x 3 coupling matrix. At
-full rank the Gram vectors are already the factor a Cholesky step would
-extract, so none is needed.
-
-Attempt k starts from random triads drawn from rng_for(SolverConfig.seed,
-DOMAIN_SOLVER, k). A sweep visits greedy colour classes of the qubits: a
-class shares no edge, so its qubits' blocks are independent and one batched
-update is still an exact block maximization. Every few sweeps the ascent
-evaluates a dual bound at its current point (_kernels.sdp_dual_bound). The
-bound caps the relaxation optimum, and hence lambda_max and every product
-state's energy, whether or not the ascent converged; SolveDiagnostics
-reports it as upper_bound. The ascent stops once the relative gap
-(bound - value) / max(1, |value|) is at most GAP_TOLERANCE, which is what
-"converged" means. At full rank the Burer-Monteiro landscape has no
-spurious local optima (Boumal, Voroninski & Bandeira 2016), so one attempt
-is the default; a further attempt runs only when the previous one stopped
-at max_sweeps with its gap still open.
+Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
+ceil(sqrt(2n)) + 1), above which the landscape has no spurious
+second-order points (Boumal, Voroninski & Bandeira 2016, arXiv:1606.04970).
+The blocks ascend in lock-step (_kernels.rank_sweeps) from random rows
+drawn from rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt). Their dual
+bound (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or
+not the ascent converged: "converged" means (bound - value) / max(1,
+|value|) <= GAP_TOLERANCE, and only a capped attempt starts another. The
+output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded (n, 3, 3n)
+layout, so each triad is orthonormal by construction.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +70,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     restarts: int  # attempts run
+    # sweeps over all attempts; a lock-step sweep counts once for all axes
     total_sweeps: int
     converged: bool
     capped: int
     # dual bound on the relaxation optimum at the returned vectors
     upper_bound: float
+    rank: int  # p, the width of each axis's rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +105,23 @@ class FeasibilityReport:
     passed: bool
 
 
-def _random_triads(n: int, rng) -> np.ndarray:
-    """One random orthonormal triad per qubit: Q factors of Gaussian 3n x 3 draws."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, 3 * n, 3)))
-    return Q.transpose(0, 2, 1)
+def _random_rows(K: int, n: int, p: int, rng) -> np.ndarray:
+    """Random unit rows (K, n, p): normalized Gaussian draws."""
+    U = rng.standard_normal((K, n, p))
+    U /= np.sqrt((U * U).sum(axis=2, keepdims=True))
+    return U
+
+
+def _axis_blocks(A: np.ndarray) -> tuple[list[int], list[int]]:
+    """Axes of the distinct nonzero couplings A[k], and each axis's index among them or -1."""
+    # a key is a nonzero coupling that no earlier axis repeats; a zero coupling matches no key
+    keys = [k for k in range(3) if A[k].any() and not any(np.array_equal(A[j], A[k]) for j in range(k))]
+    block = [next((b for b, j in enumerate(keys) if np.array_equal(A[j], A[k])), -1) for k in range(3)]
+    return keys, block
 
 
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
-    """Block-coordinate ascent from random triads until the dual gap closes.
+    """Lock-step rank-p ascent from random rows until the dual gap closes.
 
     Attempts that stop at cfg.max_sweeps with the gap open are counted in
     diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
@@ -128,41 +130,44 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     "heisopt" logger.
     """
     cfg = cfg or SolverConfig()
+    n = inst.n
     wsum = float(inst.arrays()[2].sum())
     A, classes = inst.incidence()
+    keys, block = _axis_blocks(A)
+    mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
+    AK, classes = A[keys], [(I, AI[keys]) for I, AI in classes]
+    p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 
     best = None
     total = capped = 0
-    for k in range(cfg.restarts):
-        # in the kernels' layout (3, n, 3n)
-        W = _random_triads(inst.n, rng_for(cfg.seed, DOMAIN_SOLVER, k)).transpose(1, 0, 2).copy()
-        value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(
-            W, A, classes, wsum, cfg.max_sweeps, GAP_TOLERANCE
+    for a in range(cfg.restarts):
+        U = _random_rows(len(keys), n, p, rng_for(cfg.seed, DOMAIN_SOLVER, a))
+        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(
+            U, AK, classes, mult, wsum, cfg.max_sweeps, GAP_TOLERANCE
         )
         if not monotone:
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
         total += sweeps
         if best is None or value > best[1]:
-            best = (W, value, bound, converged)
+            best = (U, value, bound, converged)
         if converged:
             break
         capped += 1
-    W, value, bound, converged = best
+    U, value, bound, converged = best
     if capped:
         log.warning(
             "moment relaxation: %d of %d attempts stopped at max_sweeps=%d; "
             "relative gap %.3g, tolerance %.3g",
-            capped, k + 1, cfg.max_sweeps,
+            capped, a + 1, cfg.max_sweeps,
             (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
         )
-    diag = SolveDiagnostics(
-        restarts=k + 1,
-        total_sweeps=total,
-        converged=converged,
-        capped=capped,
-        upper_bound=bound + inst.offset,
-    )
-    return MomentSolution(vectors=W.transpose(1, 0, 2), value=value + inst.offset, diagnostics=diag)
+    diag = SolveDiagnostics(restarts=a + 1, total_sweeps=total, converged=converged,
+                            capped=capped, upper_bound=bound + inst.offset, rank=p)
+    # v_{i,k} = e_k (x) u_{k,i}; a zero-coupling axis holds its block's first coordinate
+    V = np.zeros((n, 3, 3 * n))
+    for k, b in enumerate(block):
+        V[:, k, k * n : k * n + p] = U[b] if b >= 0 else np.eye(p)[0]
+    return MomentSolution(vectors=V, value=value + inst.offset, diagnostics=diag)
 
 
 def sdp_objective(inst: Instance, sol: MomentSolution) -> float:

@@ -4,9 +4,9 @@ The product-search reference runs one restart at a time: for the batch's
 sweep count, to compare every restart with its own independent run, and
 with its own stop rule, which the batch, stopping all restarts together,
 can only improve on. The relaxation reference runs a fixed number of
-sweeps. Both update one qubit at a time, in the kernels' colour-class
-order: a class shares no edge, so updating its qubits one by one reaches
-the same point as the kernels' batched update.
+sweeps, one axis block at a time. Both update one qubit at a time, in the
+kernels' colour-class order: a class shares no edge, so updating its
+qubits one by one reaches the same point as the kernels' batched update.
 """
 
 import logging
@@ -19,7 +19,6 @@ from conftest import random_instance
 from heisopt import (
     Edge,
     Instance,
-    MomentSolution,
     SolverConfig,
     best_product_state,
     check_feasibility,
@@ -27,7 +26,7 @@ from heisopt import (
 )
 from heisopt import _kernels, oracle
 from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for
-from heisopt.moment_sdp import _random_triads
+from heisopt.moment_sdp import _axis_blocks, _random_rows
 
 
 def _neighbours(inst, i):
@@ -80,17 +79,34 @@ def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
     return energy, sweeps, gain
 
 
-def relaxation_sweeps(inst, V, sweeps):
+def relaxation_sweeps(inst, k, U, sweeps):
+    """Rows U (n, p) of axis k after `sweeps` per-qubit sweeps on that axis."""
     order = _class_order(inst)
     for _ in range(sweeps):
         for i in order:
-            C = -sum((V[j].T * coef for j, coef in _neighbours(inst, i)), np.zeros((3 * inst.n, 3)))
-            if not C.any():
-                continue
-            Q, R = np.linalg.qr(C)
-            U, _, Wt = np.linalg.svd(R)
-            V[i] = (Q @ U @ Wt).T
-    return _relaxation_value(inst, V)
+            c = -sum((U[j] * coef[k] for j, coef in _neighbours(inst, i)), np.zeros(U.shape[1]))
+            if c.any():
+                U[i] = c / np.linalg.norm(c)
+    return U
+
+
+def block_vectors(n, block, U):
+    """Gram vectors (n, 3, 3n): v_{i,k} = e_k (x) u_{k,i}, or e_k (x) e_0 on a zero axis."""
+    V = np.zeros((n, 3, 3 * n))
+    for k, b in enumerate(block):
+        if b < 0:
+            V[:, k, k * n] = 1.0
+        else:
+            V[:, k, k * n : k * n + U.shape[2]] = U[b]
+    return V
+
+
+def kernel_args(inst):
+    """(keys, block, AK, classes, mult) as solve_moment_sdp builds them."""
+    A, classes = inst.incidence()
+    keys, block = _axis_blocks(A)
+    mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
+    return keys, block, A[keys], [(I, AI[keys]) for I, AI in classes], mult
 
 
 def product_starts(inst, restarts, seed):
@@ -131,21 +147,20 @@ def test_product_search_matches_one_restart_loop(rng):
 
 
 def test_relaxation_matches_one_restart_loop(rng):
-    # gap_tol = 0 keeps the kernel sweeping to max_sweeps, like the reference
-    for _ in range(3):
-        inst = random_instance(rng, n=int(rng.integers(3, 6)))
-        V = _random_triads(inst.n, rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0))
-        ref = V.copy()
-        ref_value = relaxation_sweeps(inst, ref, 25)
+    # gap_tol = -inf keeps the kernel sweeping to max_sweeps, like the
+    # reference: once every S_k is PSD the gap is exactly 0
+    for style in ("arbitrary", "family", "corner"):
+        inst = random_instance(rng, n=int(rng.integers(3, 6)), coeffs=style)
+        keys, block, AK, classes, mult = kernel_args(inst)
+        U = _random_rows(len(keys), inst.n, 3, rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0))
+        ref = np.array([relaxation_sweeps(inst, k, U[b].copy(), 25) for b, k in enumerate(keys)])
 
-        A, classes = inst.incidence()
         wsum = float(inst.arrays()[2].sum() + inst.offset)
-        W = V.transpose(1, 0, 2).copy()
-        value, bound, sweeps, converged, monotone = _kernels.sdp_sweeps(W, A, classes, wsum, 25, 0.0)
+        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(U, AK, classes, mult, wsum, 25, -np.inf)
         assert sweeps == 25
         assert monotone
-        assert value == pytest.approx(ref_value, rel=1e-9)
-        assert np.allclose(W.transpose(1, 0, 2), ref, atol=1e-6)
+        assert np.allclose(U, ref, atol=1e-6)
+        assert value == pytest.approx(_relaxation_value(inst, block_vectors(inst.n, block, ref)), rel=1e-9)
         assert bound >= value
 
 
@@ -199,10 +214,12 @@ def test_skipped_qubits_stay_feasible(edges):
     sol = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=3))
     assert check_feasibility(sol).passed
     assert sol.diagnostics.converged
-    # qubit 3 has no coupling, so restart 0's random triad is never touched
+    # qubit 3 has no coupling, so restart 0's random rows are never touched
     sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=3))
-    start = _random_triads(4, rng_for(3, DOMAIN_SOLVER, 0))
-    assert np.array_equal(sol.vectors[3], start[3])
+    keys, block, *_ = kernel_args(inst)
+    assert block == [0, 1, 0]  # X and Z share a block
+    start = _random_rows(len(keys), 4, sol.diagnostics.rank, rng_for(3, DOMAIN_SOLVER, 0))
+    assert np.array_equal(sol.vectors[3], block_vectors(4, block, start)[3])
     ps = best_product_state(inst, restarts=6, seed=3)
     assert np.allclose(np.linalg.norm(ps.state.bloch, axis=1), 1.0)
     assert _product_energy(inst, ps.state.bloch) == pytest.approx(ps.energy, abs=1e-12)
@@ -254,16 +271,20 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     A, classes = _STAR.incidence()
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
     wsum = float(_STAR.arrays()[2].sum())
+    keys, block, AK, rows, mult = kernel_args(_STAR)
+    assert block == [0, 1, 0]
     for zero in (False, True):
-        W = _random_triads(4, rng_for(5, DOMAIN_SOLVER, 0)).transpose(1, 0, 2).copy()
+        U = _random_rows(2, 4, 3, rng_for(5, DOMAIN_SOLVER, 0))
         if zero:
-            W[:, 2] = -W[:, 1]
-        start = W.copy()
-        _kernels.sdp_sweeps(W, A, classes, wsum, 1, 1e-7)
-        # qubit 0 moves unless its coupling is zero; qubit 3, in its class, moves
-        assert np.array_equal(W[:, 0], start[:, 0]) == zero
-        assert not np.array_equal(W[:, 3], start[:, 3])
-        assert check_feasibility(MomentSolution(vectors=W.transpose(1, 0, 2), value=0.0)).passed
+            U[1, 2] = -U[1, 1]  # block 1 (Y): qubit 0's coupling is zero
+        start = U.copy()
+        _kernels.rank_sweeps(U, AK, rows, mult, wsum, 1, 1e-7)
+        # qubit 0 moves unless its coupling in that block is zero; block 0
+        # and qubit 3, in its class, move
+        assert np.array_equal(U[1, 0], start[1, 0]) == zero
+        assert not np.array_equal(U[0, 0], start[0, 0])
+        assert not np.array_equal(U[:, 3], start[:, 3])
+        assert np.allclose(np.linalg.norm(U, axis=2), 1.0)
 
     W = np.stack(product_starts(_STAR, 3, 5), axis=2).transpose(1, 0, 2).copy()
     W[:, 2, 1] = -W[:, 1, 1]  # restart 1: qubit 0's field is zero

@@ -49,6 +49,20 @@ def test_solve_then_round(tmp_path, cycle_file, capsys):
     sol_path = tmp_path / "c5.sol"
     rc = main(["solve", cycle_file, "--out", str(sol_path)])
     assert rc == 0
+    diag = json.loads(capsys.readouterr().err)
+    assert sorted(diag) == [
+        "converged",
+        "feasible",
+        "label",
+        "max_norm_deviation",
+        "max_orthogonality_deviation",
+        "rank",
+        "restarts",
+        "sdp_upper_bound",
+        "sdp_value",
+        "total_sweeps",
+    ]
+    assert diag["rank"] == 5  # n = 5: min(n, ceil(sqrt(2n)) + 1)
     round_path = tmp_path / "round.json"
     rc = main(
         ["round", cycle_file, str(sol_path), "--scheme", "bfv", "--trials", "25", "--out", str(round_path)]

@@ -193,15 +193,86 @@ def test_solve_runs_no_product_search(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 9, 40, 120])
-def test_random_triads_match_per_qubit_qr_bitwise(n):
+def test_random_rows_match_per_qubit_draws_bitwise(n):
     from heisopt._backend import DOMAIN_SOLVER, rng_for
-    from heisopt.moment_sdp import _random_triads
+    from heisopt.moment_sdp import _random_rows
 
+    p = 7
     for k in (1, 4):
         rng = rng_for(11, DOMAIN_SOLVER, k)
-        expect = np.empty((n, 3, 3 * n))
-        for i in range(n):
-            Q, _ = np.linalg.qr(rng.standard_normal((3 * n, 3)))
-            expect[i] = Q.T
-        got = _random_triads(n, rng_for(11, DOMAIN_SOLVER, k))
+        expect = np.empty((2, n, p))
+        for b in range(2):
+            for i in range(n):
+                row = rng.standard_normal(p)
+                expect[b, i] = row / np.sqrt((row * row).sum())
+        got = _random_rows(2, n, p, rng_for(11, DOMAIN_SOLVER, k))
         assert np.array_equal(got, expect)
+
+
+def _blocks(sol):
+    """Axis k's rows, coordinates k*n to k*n + rank of its Gram vectors."""
+    n, p = sol.n, sol.diagnostics.rank
+    return [sol.vectors[:, k, k * n : k * n + p] for k in range(3)]
+
+
+def _family(inst, coeffs):
+    return Instance(n=inst.n, edges=tuple(Edge(e.i, e.j, e.w, *coeffs) for e in inst.edges))
+
+
+def test_uniform_xyz_shares_one_block_counted_per_axis(rng):
+    for _ in range(5):
+        inst = _family(random_instance(rng, n=int(rng.integers(3, 12))), (1, 1, 1))
+        sol = solve_moment_sdp(inst, SolverConfig(seed=3))
+        x, y, z = _blocks(sol)
+        assert np.array_equal(x, y) and np.array_equal(x, z)
+        # counting the shared block once would lose two thirds of the coupling part
+        assert sol.value == pytest.approx(sdp_objective(inst, sol), abs=1e-9)
+        assert sol.diagnostics.rank == min(inst.n, int(np.ceil(np.sqrt(2 * inst.n))) + 1)
+        # only the rank-p blocks are nonzero
+        assert np.count_nonzero(sol.vectors.any(axis=0)) <= 3 * sol.diagnostics.rank
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 0), (0, 0, 1)], ids=["xy", "zz"])
+def test_zero_coupling_axis_adds_nothing(rng, coeffs):
+    # a one-axis instance on the same edges runs the same start and sweeps
+    for _ in range(5):
+        base = random_instance(rng, n=int(rng.integers(3, 12)))
+        inst, one = _family(base, coeffs), _family(base, (1, 0, 0))
+        sol = solve_moment_sdp(inst, SolverConfig(seed=4))
+        ref = solve_moment_sdp(one, SolverConfig(seed=4))
+        active = sum(coeffs)
+        wsum = sum(e.w for e in inst.edges)
+        blocks, ref_blocks = _blocks(sol), _blocks(ref)
+        for k in range(3):
+            if coeffs[k]:
+                assert np.array_equal(blocks[k], ref_blocks[0])
+            else:
+                # a fixed unit vector: its block's first coordinate
+                expect = np.zeros_like(sol.vectors[:, k])
+                expect[:, k * inst.n] = 1.0
+                assert np.array_equal(sol.vectors[:, k], expect)
+        assert sol.value - wsum == pytest.approx(active * (ref.value - wsum), rel=1e-12)
+        assert sol.diagnostics.upper_bound - wsum == pytest.approx(
+            active * (ref.diagnostics.upper_bound - wsum), rel=1e-12
+        )
+        assert sol.diagnostics.total_sweeps == ref.diagnostics.total_sweeps
+
+
+def test_cross_axis_gram_entries_are_zero(rng):
+    for style in ("arbitrary", "family", "corner"):
+        inst = random_instance(rng, n=int(rng.integers(2, 10)), coeffs=style)
+        V = solve_moment_sdp(inst, SolverConfig(seed=5)).vectors
+        gram = np.einsum("ikd,jld->klij", V, V)
+        for k in range(3):
+            for l in range(3):
+                if k != l:
+                    assert not gram[k, l].any()
+
+
+def test_upper_bound_dominates_lambda_max_on_mixed_instances(rng):
+    for k in range(30):
+        inst = random_instance(rng, n=int(rng.integers(2, 9)), coeffs="arbitrary")
+        sol = solve_moment_sdp(inst, SolverConfig(seed=k))
+        lam = exact_max_eigenvalue(inst).lambda_max
+        assert sol.diagnostics.converged
+        assert sol.diagnostics.upper_bound >= lam - 1e-12 * (1.0 + abs(lam))
