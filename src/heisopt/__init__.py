@@ -1,8 +1,8 @@
 """Product-state approximations for maximization Heisenberg Hamiltonians.
 
 The library models 2-local Hamiltonians sum_e w_e (I - a XX - b YY - g ZZ)
-on weighted multigraphs, solves their level-1 moment relaxation by
-block-coordinate ascent over per-qubit Gram triads, rounds the relaxation
+on weighted multigraphs, solves their level-1 moment relaxation as one
+rank-p coordinate ascent per distinct axis coupling, rounds the relaxation
 to product states by Gaussian projection or single-axis hyperplane cuts,
 and certifies per-instance approximation ratios against the relaxation
 value or, for small n, against exact oracles. The relaxation value bounds

@@ -1,4 +1,4 @@
-"""Seeded RNG streams.
+"""Seeded RNG streams, the ascents' unit-row draw, and the memory reader.
 
 Random streams are counter-based (Philox): every unit of work (solver
 restart, rounding trial, search restart) draws from a generator that is a
@@ -63,3 +63,22 @@ def trial_streams(seed: int, domain: int) -> Callable[[int], np.random.Generator
         return gen
 
     return at
+
+
+def unit_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Gaussian draws of `shape`, scaled to unit norm along the last axis."""
+    U = rng.standard_normal(shape)
+    U /= np.sqrt((U * U).sum(axis=-1, keepdims=True))
+    return U
+
+
+def available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where the kernel reports none."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None

@@ -13,9 +13,10 @@ exercised and benchmarked on its own:
 
 Reports are JSON with sorted keys, no timestamps, and seeded randomness
 throughout, so identical invocations produce byte-identical files.
-Exit codes: 0 success, 2 parse/usage error, 3 solver non-convergence (the
-relaxation's dual gap still open at max_sweeps; report still written),
-4 oracle limit exceeded.
+Exit codes: 0 success, 2 parse/usage error (a solution whose header value
+is not its vectors' objective included), 3 solver non-convergence (the
+relaxation's dual gap still open at MAX_SWEEPS; report still written),
+4 oracle limit exceeded or instance too large for memory.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .moment_sdp import (
     SolverConfig,
     check_feasibility,
     parse_moment_solution,
+    sdp_objective,
     serialize_moment_solution,
     solve_moment_sdp,
 )
-from .oracle import MAX_QUBITS, OracleLimitError, best_product_state, exact_max_eigenvalue
+from .oracle import OracleLimitError, best_product_state, check_qubits, exact_max_eigenvalue
 from .pauli import reduce_instance
 from .ratio_numerics import approx_ratio_axis, approx_ratio_bfv, curve_to_csv
 from .rounding import bfv_round, gw_axis_round, projection_family
@@ -44,7 +46,7 @@ __all__ = ["RatioReport", "run_pipeline", "reproduce_constants", "main"]
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NONCONVERGED = 3
-EXIT_ORACLE = 4
+EXIT_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def run_pipeline(
 
     An unknown scheme, trials < 1 and a bfv run on an instance that is not
     family-uniform raise ValueError before the solve, and an oracle run
-    above the exact oracle's MAX_QUBITS raises OracleLimitError there too.
+    above the exact oracle's qubit limit raises OracleLimitError there too.
     """
     if scheme not in ("bfv", "axis"):
         raise ValueError(f"unknown rounding scheme {scheme!r}: expected 'bfv' or 'axis'")
@@ -113,8 +115,8 @@ def run_pipeline(
         raise ValueError("need at least one trial")
     if scheme == "bfv":
         projection_family(inst)
-    if oracle and inst.n > MAX_QUBITS:
-        raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
+    if oracle:
+        check_qubits(inst)
     cfg = SolverConfig(restarts=restarts, seed=seed)
     sol = solve_moment_sdp(inst, cfg)
     rounder = bfv_round if scheme == "bfv" else gw_axis_round
@@ -223,6 +225,9 @@ def _cmd_round(args) -> int:
     inst = parse_instance_file(args.instance)
     with open(args.solution) as fh:
         sol = parse_moment_solution(fh.read())
+    value = sdp_objective(inst, sol)
+    if abs(sol.value - value) > 1e-9 * max(1.0, abs(sol.value), abs(value)):
+        raise ValueError(f"solution header value {sol.value!r} is not its vectors' objective {value!r}")
     rounder = bfv_round if args.scheme == "bfv" else gw_axis_round
     outcome = rounder(inst, sol, trials=args.trials, seed=seed)
     payload = {
@@ -374,9 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except OracleLimitError as exc:
+    except (OracleLimitError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ORACLE
+        return EXIT_LIMIT
     except (ValueError, OSError) as exc:
         # ParseError is a ValueError; OSError covers unreadable and missing paths
         sys.stderr.write(f"error: {exc}\n")

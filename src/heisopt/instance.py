@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from . import _kernels
+from . import _backend, _kernels
 from ._backend import DOMAIN_GENERATE, rng_for
 
 __all__ = [
@@ -126,6 +126,11 @@ class Instance:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def identity_coeff(self) -> float:
+        """Coefficient of I in the Hamiltonian: the weights' sum plus the offset."""
+        return float(self._table[2].sum() + self.offset)
+
     def arrays(self):
         """Edge table (ei, ej, w, wc3), read-only; wc3[e, k] = w_e * coeff_k(e)."""
         return self._table
@@ -134,8 +139,16 @@ class Instance:
         """Coupling A (3, n, n) and its colour classes, from _kernels.colour_classes.
 
         A[k, i, j] = A[k, j, i] sums -w_e * coeff_k(e) over the edges e
-        between i and j. Built anew on each call: A holds 3n^2 floats.
+        between i and j. Built anew on each call: A and its class slices
+        hold 6n^2 floats, and a MemoryError refuses them before anything is
+        allocated if they exceed the memory the kernel reports available.
         """
+        need = 6 * 8 * self.n**2
+        avail = _backend.available_bytes()
+        if avail is not None and need > avail:
+            raise MemoryError(
+                f"the coupling at n={self.n} needs {need} bytes but only {avail} bytes are available"
+            )
         ei, ej, _, wc3 = self._table
         return _kernels.colour_classes(self.n, ei, ej, wc3)
 
@@ -195,8 +208,8 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str, label: str = "") -> Instance:
-    header = None
+def parse_instance(text: str) -> Instance:
+    header, label = None, ""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -269,7 +282,7 @@ def generate(kind: str, seed: int = 0, **params) -> Instance:
     """Deterministic instance source; pure function of (kind, params, seed).
 
     Kinds and their params:
-      single_edge  family=(a,b,g), w=1.0
+      single_edge  family=(a,b,g); one unit-weight edge
       complete     n, family, weights
       cycle        n >= 3, family, weights
       bipartite    n1, n2, family, weights (complete bipartite)
@@ -278,10 +291,8 @@ def generate(kind: str, seed: int = 0, **params) -> Instance:
     family = _coerce_family(params.pop("family", (1.0, 1.0, 1.0)))
     rng = rng_for(seed, DOMAIN_GENERATE, 0)
     if kind == "single_edge":
-        w = float(params.pop("w", 1.0))
         _reject_params(kind, params)
-        edges = [Edge(0, 1, w, *family)]
-        return Instance(2, tuple(edges), label=f"single_edge-seed{seed}")
+        return Instance(2, (Edge(0, 1, 1.0, *family),), label=f"single_edge-seed{seed}")
     weights = params.pop("weights", "unit")
     if kind == "complete":
         n = _need_n(kind, params)

@@ -11,13 +11,13 @@ per axis; an axis with a zero coupling adds 0 and holds a fixed vector.
 Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
 ceil(sqrt(2n)) + 1), above which the landscape has no spurious
 second-order points (Boumal, Voroninski & Bandeira 2016, arXiv:1606.04970).
-The blocks ascend in lock-step (_kernels.rank_sweeps) from random rows
+The blocks ascend in lock-step (_kernels.rank_sweeps) from unit rows
 drawn from rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt). Their dual
 bound (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or
 not the ascent converged: "converged" means (bound - value) / max(1,
-|value|) <= GAP_TOLERANCE, and only a capped attempt starts another. The
-output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded (n, 3, 3n)
-layout, so each triad is orthonormal by construction.
+|value|) <= GAP_TOLERANCE, and only an attempt capped at MAX_SWEEPS starts
+another. The output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded
+(n, 3, 3n) layout, so each triad is orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._backend import DOMAIN_SOLVER, rng_for
+from ._backend import DOMAIN_SOLVER, rng_for, unit_rows
 from .instance import Instance
 # best_product_state is not called here; perfbench's traced run wraps
 # moment_sdp.best_product_state.
@@ -50,21 +50,20 @@ __all__ = [
 ]
 
 
-# relative dual gap at which the ascent stops
+# an attempt stops once its relative dual gap is at most GAP_TOLERANCE, or
+# after MAX_SWEEPS sweeps
 GAP_TOLERANCE = 1e-7
+MAX_SWEEPS = 10000
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     restarts: int = 1
-    max_sweeps: int = 10000
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,6 @@ class FeasibilityReport:
     passed: bool
 
 
-def _random_rows(K: int, n: int, p: int, rng) -> np.ndarray:
-    """Random unit rows (K, n, p): normalized Gaussian draws."""
-    U = rng.standard_normal((K, n, p))
-    U /= np.sqrt((U * U).sum(axis=2, keepdims=True))
-    return U
-
-
 def _axis_blocks(A: np.ndarray) -> tuple[list[int], list[int]]:
     """Axes of the distinct nonzero couplings A[k], and each axis's index among them or -1."""
     # a key is a nonzero coupling that no earlier axis repeats; a zero coupling matches no key
@@ -123,7 +115,7 @@ def _axis_blocks(A: np.ndarray) -> tuple[list[int], list[int]]:
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
     """Lock-step rank-p ascent from random rows until the dual gap closes.
 
-    Attempts that stop at cfg.max_sweeps with the gap open are counted in
+    Attempts that stop at MAX_SWEEPS with the gap open are counted in
     diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
     The best-valued attempt is returned with its own bound, which is valid
     whether or not it converged. A capped solve logs a warning on the
@@ -141,9 +133,9 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     best = None
     total = capped = 0
     for a in range(cfg.restarts):
-        U = _random_rows(len(keys), n, p, rng_for(cfg.seed, DOMAIN_SOLVER, a))
+        U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, a), (len(keys), n, p))
         value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(
-            U, AK, classes, mult, wsum, cfg.max_sweeps, GAP_TOLERANCE
+            U, AK, classes, mult, wsum, MAX_SWEEPS, GAP_TOLERANCE
         )
         if not monotone:
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
@@ -158,7 +150,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
         log.warning(
             "moment relaxation: %d of %d attempts stopped at max_sweeps=%d; "
             "relative gap %.3g, tolerance %.3g",
-            capped, a + 1, cfg.max_sweeps,
+            capped, a + 1, MAX_SWEEPS,
             (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
         )
     diag = SolveDiagnostics(restarts=a + 1, total_sweeps=total, converged=converged,
@@ -170,14 +162,17 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     return MomentSolution(vectors=V, value=value + inst.offset, diagnostics=diag)
 
 
-def sdp_objective(inst: Instance, sol: MomentSolution) -> float:
-    """Objective of an arbitrary feasible point against this instance."""
+def axis_dots(inst: Instance, sol: MomentSolution) -> np.ndarray:
+    """Same-axis inner products (m, 3): [e, k] = <v_{i,k}, v_{j,k}> on edge e = (i, j)."""
     if sol.n != inst.n:
         raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
-    ei, ej, w, wc3 = inst.arrays()
-    # each of the 3n Gram coordinates scored as a Bloch array (n, 3), without wsum
-    cols = _kernels.product_energy_kernel(sol.vectors.transpose(2, 0, 1), ei, ej, wc3, 0.0)
-    return float(cols.sum() + w.sum() + inst.offset)
+    ei, ej, _, _ = inst.arrays()
+    return np.einsum("ekd,ekd->ek", sol.vectors[ei], sol.vectors[ej])
+
+
+def sdp_objective(inst: Instance, sol: MomentSolution) -> float:
+    """Objective of an arbitrary feasible point against this instance."""
+    return inst.identity_coeff - float((inst.arrays()[3] * axis_dots(inst, sol)).sum())
 
 
 def check_feasibility(sol: MomentSolution) -> FeasibilityReport:

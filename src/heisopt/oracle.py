@@ -19,9 +19,9 @@ does a Lanczos run whose basis and vectors, (_BASIS + 4) * 2^n doubles
 Plus a Bloch-vector coordinate-ascent search for the best product state,
 the reference point that an oracle pipeline reports. Its restarts are the
 columns of one array (W of shape (3, n, R)), each from its own Philox
-start; they sweep together and stop together. A sweep sets the Bloch
-vectors one greedy colour class at a time (qubits that share no edge),
-every restart at once with one matmul per class.
+stream (trial_streams); they sweep together and stop together. A sweep
+sets the Bloch vectors one greedy colour class at a time (qubits that
+share no edge), every restart at once with one matmul per class.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._backend import DOMAIN_LANCZOS, DOMAIN_PRODUCT_SEARCH, rng_for
+from . import _backend, _kernels
+from ._backend import DOMAIN_LANCZOS, DOMAIN_PRODUCT_SEARCH, rng_for, trial_streams, unit_rows
 from .instance import Instance
 # build_dense is not called here; perfbench's traced run wraps oracle.build_dense.
 from .pauli import ProductState, build_dense  # noqa: F401
 
 __all__ = [
     "OracleLimitError",
+    "check_qubits",
     "ExactResult",
     "exact_max_eigenvalue",
     "ProductSearchResult",
@@ -68,16 +69,10 @@ class ExactResult:
     residual: float
 
 
-def _available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where the kernel reports none."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
+def check_qubits(inst: Instance) -> None:
+    """Raise OracleLimitError if the instance is above MAX_QUBITS qubits."""
+    if inst.n > MAX_QUBITS:
+        raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
 
 
 def _lanczos_max(zz, terms) -> ExactResult:
@@ -87,7 +82,7 @@ def _lanczos_max(zz, terms) -> ExactResult:
     k = min(_BASIS, size)
     # held at once: the basis, the diagonal, out, v and one temporary
     need = (k + 4) * size * 8
-    avail = _available_bytes()
+    avail = _backend.available_bytes()
     if avail is not None and need > avail:
         raise OracleLimitError(
             f"Lanczos at n={n} needs {need} bytes but only {avail} bytes are available"
@@ -135,10 +130,9 @@ def exact_max_eigenvalue(inst: Instance) -> ExactResult:
     Raises OracleLimitError above MAX_QUBITS qubits, and RuntimeError if
     Lanczos reaches its restart cap without converging.
     """
-    if inst.n > MAX_QUBITS:
-        raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
-    ei, ej, w, wc3 = inst.arrays()
-    zz = (inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    check_qubits(inst)
+    ei, ej, _, wc3 = inst.arrays()
+    zz = (inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
     terms = _kernels.flip_terms(inst.n, ei, ej, wc3)
     if not terms:
         best, _ = _kernels.diag_extreme(*zz)
@@ -172,20 +166,14 @@ def best_product_state(
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    ident = float(inst.arrays()[2].sum() + inst.offset)
     A, classes = inst.incidence()
-
-    # restart k is column k of the kernel's layout (3, n, R)
+    # restart k is column k of the kernel's layout (3, n, R), drawn from
+    # rng_for(seed, DOMAIN_PRODUCT_SEARCH, k)
+    at = trial_streams(seed, DOMAIN_PRODUCT_SEARCH)
     W = np.empty((3, inst.n, restarts))
     for k in range(restarts):
-        rng = rng_for(seed, DOMAIN_PRODUCT_SEARCH, k)
-        Bk = rng.standard_normal((inst.n, 3))
-        norms = np.linalg.norm(Bk, axis=1)
-        while (norms < 1e-12).any():
-            bad = norms < 1e-12
-            Bk[bad] = rng.standard_normal((int(bad.sum()), 3))
-            norms = np.linalg.norm(Bk, axis=1)
-        W[:, :, k] = (Bk / norms[:, None]).T
+        W[:, :, k] = unit_rows(at(k), (inst.n, 3)).T
+    ident = inst.identity_coeff
     energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, ident, _MAX_SWEEPS, _ASCENT_TOL)
     best = int(np.argmax(energy))
     capped = int(restarts - converged.sum())

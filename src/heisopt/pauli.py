@@ -103,8 +103,8 @@ class ProductState:
     def n(self) -> int:
         return self.bloch.shape[0]
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return bool(np.abs(np.linalg.norm(self.bloch, axis=1) - 1.0).max() <= tol)
+    def is_pure(self) -> bool:
+        return bool(np.abs(np.linalg.norm(self.bloch, axis=1) - 1.0).max() <= 1e-9)
 
 
 def build_dense(inst: _inst.Instance) -> DenseHermitian:
@@ -112,10 +112,10 @@ def build_dense(inst: _inst.Instance) -> DenseHermitian:
     if inst.n > DENSE_LIMIT:
         raise ValueError(f"n={inst.n} exceeds the dense-size guard {DENSE_LIMIT}")
     n = inst.n
-    ei, ej, w, wc3 = inst.arrays()
+    ei, ej, _, wc3 = inst.arrays()
     s = np.arange(1 << n)
     H = np.zeros((s.size, s.size), dtype=complex)
-    H[s, s] = zz_diagonal(n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    H[s, s] = zz_diagonal(n, ei, ej, -wc3[:, 2], inst.identity_coeff)
     for shape, P in flip_terms(n, ei, ej, wc3):
         # the bits of qubits j and i have the values shape[4] and 2 shape[2] shape[4]
         mask = shape[4] * (1 + 2 * shape[2])
@@ -130,8 +130,8 @@ def product_energy(inst: _inst.Instance, ps: ProductState) -> float:
     """
     if ps.n != inst.n:
         raise ValueError(f"state has {ps.n} qubits, instance has {inst.n}")
-    ei, ej, w, wc3 = inst.arrays()
-    return float(product_energy_kernel(ps.bloch, ei, ej, wc3, w.sum() + inst.offset))
+    ei, ej, _, wc3 = inst.arrays()
+    return float(product_energy_kernel(ps.bloch, ei, ej, wc3, inst.identity_coeff))
 
 
 def product_state_vector(ps: ProductState) -> np.ndarray:

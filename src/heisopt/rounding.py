@@ -1,8 +1,8 @@
 """Randomized rounding of moment-relaxation solutions to product states.
 
 Both schemes run one projection routine, _project: stack each qubit's Gram
-vectors on a list of r axes into a unit row x_i in R^{r*3n}, hit them with
-one shared Gaussian matrix R ~ N(0,1)^{r x r*3n}, and normalize: qubit i's
+vectors (width d) on r axes into a unit row x_i in R^{r*d}, hit them with
+one shared Gaussian matrix R ~ N(0,1)^{r x r*d}, and normalize: qubit i's
 Bloch vector is R x_i / ||R x_i|| spread over those axes.
 
   * bfv_round - family-uniform instances only, on the active axes.
@@ -28,7 +28,7 @@ Trials run in blocks. A block stacks its trials' draws, projects them with
 one matmul (R @ X^T), normalizes once and scores its trials with the
 product-energy kernel, which sums each trial's edge terms in the same order
 wherever the trial sits. A block holds as many trials as fit _BLOCK_BYTES
-of both its draws, (b, r, r*3n) float64, and its edge terms, (b, 3m), and
+of both its draws, (b, r, r*d) float64, and its edge terms, (b, 3m), and
 is scored in one kernel call; its size depends on the graph only. Rounding
 runs in one thread: the work is numpy calls that hold the interpreter
 lock, and a thread pool over blocks measured slower.
@@ -48,7 +48,7 @@ import numpy as np
 from ._backend import DOMAIN_ROUNDING, rng_for, trial_streams
 from ._kernels import product_energy_kernel
 from .instance import Edge, FamilyTag, Instance, is_family_uniform
-from .moment_sdp import MomentSolution, check_feasibility
+from .moment_sdp import MomentSolution, axis_dots, check_feasibility
 from .pauli import ProductState
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
     "gw_axis_round",
 ]
 
-# Byte budget of one block's Gaussian draws, (b, r, r*3n) float64, and of its
+# Byte budget of one block's Gaussian draws, (b, r, r*d) float64, and of its
 # edge terms, (b, 3m) float64.
 _BLOCK_BYTES = 1 << 20
 
@@ -157,25 +157,25 @@ def _check_solution(inst: Instance, sol: MomentSolution) -> None:
         raise ValueError(f"solution is not feasible: {rep}")
 
 
-def _block_trials(n: int, m: int, r: int) -> int:
-    """Trials per block: as many r x r*3n draws, and 3m edge terms, as fit the budget."""
-    return max(1, _BLOCK_BYTES // (8 * max(r * r * 3 * n, 3 * m)))
+def _block_trials(draw: int, m: int) -> int:
+    """Trials per block: as many draws of `draw` floats, and 3m edge terms, as fit the budget."""
+    return max(1, _BLOCK_BYTES // (8 * max(draw, 3 * m)))
 
 
 def _project(inst, sol, trials, seed, axes):
     """Round `trials` projections onto `axes` (a list) block by block; keep the best.
 
-    Trial t draws R_t ~ N(0,1)^{r x r*3n}, r = len(axes), from rng_for(seed,
-    DOMAIN_ROUNDING, t) and projects every qubit's row of X (n, r*3n):
+    Trial t draws R_t ~ N(0,1)^{r x r*d}, r = len(axes), from rng_for(seed,
+    DOMAIN_ROUNDING, t) and projects every qubit's row of X (n, r*d):
     Y_t = R_t X^T. One matmul covers a whole block.
     """
     n, r = inst.n, len(axes)
     # x_i: the Gram vectors on `axes` concatenated in axis order, norm sqrt(r) -> 1
     X = sol.vectors[:, axes].reshape(n, -1) / np.sqrt(r)
-    ei, ej, w, wc3 = inst.arrays()
-    ident = float(w.sum() + inst.offset)
+    ei, ej, _, wc3 = inst.arrays()
+    ident = inst.identity_coeff
     shape = (r, X.shape[1])
-    size = _block_trials(n, inst.m, r)
+    size = _block_trials(r * X.shape[1], inst.m)
     at = trial_streams(seed, DOMAIN_ROUNDING)
     energies = np.empty(trials)
     best_energy, best_bloch = -np.inf, None
@@ -244,12 +244,8 @@ def gw_axis_round(
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_solution(inst, sol)
-    ei, ej, w, wc3 = inst.arrays()
-
     # Axis score: what the objective's coupling part contributes on axis a.
-    scores = np.empty(3)
-    for a in range(3):
-        dots = np.einsum("ed,ed->e", sol.vectors[ei, a, :], sol.vectors[ej, a, :])
-        scores[a] = -float(wc3[:, a] @ dots)
+    wc3, dots = inst.arrays()[3], axis_dots(inst, sol)
+    scores = [-float(wc3[:, a] @ dots[:, a]) for a in range(3)]
     a_star = int(np.argmax(scores))  # lowest index wins ties
     return _project(inst, sol, trials, seed, [a_star])

@@ -24,9 +24,9 @@ from heisopt import (
     check_feasibility,
     solve_moment_sdp,
 )
-from heisopt import _kernels, oracle
-from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for
-from heisopt.moment_sdp import _axis_blocks, _random_rows
+from heisopt import _kernels, moment_sdp, oracle
+from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for, unit_rows
+from heisopt.moment_sdp import _axis_blocks
 
 
 def _neighbours(inst, i):
@@ -127,7 +127,7 @@ def test_product_search_matches_one_restart_loop(rng):
         # restart k is column k of W (3, n, R)
         W = np.stack(product_starts(inst, restarts, seed), axis=2).transpose(1, 0, 2).copy()
         A, classes = inst.incidence()
-        wsum = float(inst.arrays()[2].sum() + inst.offset)
+        wsum = inst.identity_coeff
         energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, wsum, 10000, 1e-12)
         assert converged.all()
         for k, B in enumerate(product_starts(inst, restarts, seed)):
@@ -146,16 +146,34 @@ def test_product_search_matches_one_restart_loop(rng):
         assert ps.capped == 0
 
 
+def test_product_search_starts_match_per_restart_draws_bitwise(rng, monkeypatch):
+    # the search repositions one generator per restart; each start must be
+    # the unit rows of a generator built anew by rng_for for that restart
+    starts = []
+
+    def capture(W, *args, _sweeps=_kernels.ascent_sweeps):
+        starts.append(W.copy())
+        return _sweeps(W, *args)
+
+    monkeypatch.setattr(_kernels, "ascent_sweeps", capture)
+    for n, restarts, seed in ((3, 1, 0), (9, 7, 3), (40, 50, 11)):
+        inst = random_instance(rng, n=n)
+        starts.clear()
+        best_product_state(inst, restarts=restarts, seed=seed)
+        expect = np.stack(product_starts(inst, restarts, seed), axis=2).transpose(1, 0, 2)
+        assert np.array_equal(starts[0], expect)
+
+
 def test_relaxation_matches_one_restart_loop(rng):
     # gap_tol = -inf keeps the kernel sweeping to max_sweeps, like the
     # reference: once every S_k is PSD the gap is exactly 0
     for style in ("arbitrary", "family", "corner"):
         inst = random_instance(rng, n=int(rng.integers(3, 6)), coeffs=style)
         keys, block, AK, classes, mult = kernel_args(inst)
-        U = _random_rows(len(keys), inst.n, 3, rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0))
+        U = unit_rows(rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0), (len(keys), inst.n, 3))
         ref = np.array([relaxation_sweeps(inst, k, U[b].copy(), 25) for b, k in enumerate(keys)])
 
-        wsum = float(inst.arrays()[2].sum() + inst.offset)
+        wsum = inst.identity_coeff
         value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(U, AK, classes, mult, wsum, 25, -np.inf)
         assert sweeps == 25
         assert monotone
@@ -170,8 +188,9 @@ def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
         edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.7, 1, 0, 1), Edge(2, 3, 0.4, 1, 1, 0),
                Edge(0, 3, 0.9, 0, 1, 1)),
     )
+    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="heisopt"):
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=4, max_sweeps=1))
+        sol = solve_moment_sdp(inst, SolverConfig(restarts=4))
     d = sol.diagnostics
     assert not d.converged
     assert d.capped == d.restarts == 4
@@ -218,7 +237,7 @@ def test_skipped_qubits_stay_feasible(edges):
     sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=3))
     keys, block, *_ = kernel_args(inst)
     assert block == [0, 1, 0]  # X and Z share a block
-    start = _random_rows(len(keys), 4, sol.diagnostics.rank, rng_for(3, DOMAIN_SOLVER, 0))
+    start = unit_rows(rng_for(3, DOMAIN_SOLVER, 0), (len(keys), 4, sol.diagnostics.rank))
     assert np.array_equal(sol.vectors[3], block_vectors(4, block, start)[3])
     ps = best_product_state(inst, restarts=6, seed=3)
     assert np.allclose(np.linalg.norm(ps.state.bloch, axis=1), 1.0)
@@ -274,7 +293,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     keys, block, AK, rows, mult = kernel_args(_STAR)
     assert block == [0, 1, 0]
     for zero in (False, True):
-        U = _random_rows(2, 4, 3, rng_for(5, DOMAIN_SOLVER, 0))
+        U = unit_rows(rng_for(5, DOMAIN_SOLVER, 0), (2, 4, 3))
         if zero:
             U[1, 2] = -U[1, 1]  # block 1 (Y): qubit 0's coupling is zero
         start = U.copy()

@@ -175,6 +175,39 @@ def test_round_rejects_duplicate_solution_rows(tmp_path):
     assert "appears twice" in proc.stderr
 
 
+def test_round_checks_the_header_value(tmp_path, capsys):
+    inst = tmp_path / "c8.txt"
+    assert main(["gen", "cycle", "--n", "8", "--family", "1", "1", "0", "--out", str(inst)]) == 0
+    sol = tmp_path / "c8.sol"
+    assert main(["solve", str(inst), "--out", str(sol)]) == 0
+    header, *rows = sol.read_text().splitlines()
+    n, value = header.split()[0], float(header.split()[1])
+    assert value == pytest.approx(24.0, abs=1e-9)
+    out = tmp_path / "round.json"
+    assert main(["round", str(inst), str(sol), "--trials", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["sdp_value"] == value
+    # an edited header is refused beyond a relative tolerance of 1e-9
+    for edited, rc in ((value * (1 + 1e-11), 0), (value * (1 + 5e-9), 2), (999.0, 2)):
+        sol.write_text("\n".join([f"{n} {edited!r}", *rows]) + "\n")
+        assert main(["round", str(inst), str(sol), "--trials", "5", "--out", str(out)]) == rc
+    assert "header value 999.0" in capsys.readouterr().err
+
+
+def test_solve_exits_4_before_building_a_coupling_too_large_for_memory(tmp_path, monkeypatch, capsys):
+    from heisopt import _backend, _kernels
+
+    inst = tmp_path / "c300.txt"
+    assert main(["gen", "cycle", "--n", "300", "--out", str(inst)]) == 0
+    calls = []
+    monkeypatch.setattr(_kernels, "colour_classes", lambda *args: calls.append(1))
+    need = 6 * 8 * 300**2  # A and its class slices: 6 n^2 doubles
+    monkeypatch.setattr(_backend, "available_bytes", lambda: need - 1)
+    for cmd in ("solve", "pipeline"):
+        assert main([cmd, str(inst), "--out", str(tmp_path / "out")]) == 4
+        assert f"needs {need} bytes but only {need - 1} bytes are available" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_oracle_limit_exit_code(tmp_path):
     big = tmp_path / "big.txt"
     rc = main(["gen", "cycle", "--n", "22", "--out", str(big)])
@@ -326,9 +359,9 @@ def test_exact_refuses_zero_restarts_before_eigensolve(cycle_file, monkeypatch, 
 
 
 def test_exact_exits_4_when_lanczos_memory_is_short(cycle_file, monkeypatch, capsys):
-    from heisopt import oracle
+    from heisopt import _backend
 
-    monkeypatch.setattr(oracle, "_available_bytes", lambda: 1024)
+    monkeypatch.setattr(_backend, "available_bytes", lambda: 1024)
     assert main(["exact", cycle_file]) == 4
     assert "bytes are available" in capsys.readouterr().err
 

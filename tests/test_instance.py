@@ -154,6 +154,7 @@ def test_parse_skips_comments_and_blanks():
 def test_generate_kinds():
     e = generate("single_edge", family=(1, 1, 0))
     assert e.n == 2 and e.m == 1 and e.edges[0].coeffs == (1.0, 1.0, 0.0)
+    assert e.edges[0].w == 1.0
 
     c = generate("cycle", n=5)
     assert c.n == 5 and c.m == 5
@@ -176,6 +177,8 @@ def test_generate_rejects_bad_params():
         generate("cycle", n=2)
     with pytest.raises(ValueError):
         generate("single_edge", n=4)
+    with pytest.raises(ValueError):
+        generate("single_edge", w=2.0)
     with pytest.raises(ValueError):
         generate("no_such_kind")
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from heisopt import (
     serialize_moment_solution,
     solve_moment_sdp,
 )
+from heisopt import moment_sdp
 from heisopt.moment_sdp import GAP_TOLERANCE
 
 
@@ -23,8 +24,6 @@ def test_solver_config_validation():
     SolverConfig()
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_sweeps=0)
 
 
 def test_single_edge_f111_reaches_four():
@@ -67,12 +66,13 @@ def test_sdp_dominates_best_product(rng):
         assert sol.diagnostics.upper_bound >= ps.energy - 1e-9
 
 
-def test_upper_bound_dominates_lambda_max_when_capped(rng):
+def test_upper_bound_dominates_lambda_max_when_capped(rng, monkeypatch):
     # one sweep leaves the ascent far from the optimum; the bound still holds
+    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
     for k in range(60):
         style = ("family", "corner", "arbitrary")[k % 3]
         inst = random_instance(rng, n=int(rng.integers(2, 9)), coeffs=style)
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=1, max_sweeps=1, seed=k))
+        sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=k))
         lam = exact_max_eigenvalue(inst).lambda_max
         assert sol.diagnostics.upper_bound >= lam - 1e-12 * (1.0 + abs(lam))
         assert sol.diagnostics.upper_bound >= sol.value - 1e-12 * (1.0 + abs(sol.value))
@@ -178,7 +178,7 @@ def test_mismatched_objective_rejected():
 
 
 def test_solve_runs_no_product_search(monkeypatch):
-    from heisopt import moment_sdp, oracle
+    from heisopt import oracle
 
     calls = []
     for mod in (moment_sdp, oracle):
@@ -194,8 +194,7 @@ def test_solve_runs_no_product_search(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 9, 40, 120])
 def test_random_rows_match_per_qubit_draws_bitwise(n):
-    from heisopt._backend import DOMAIN_SOLVER, rng_for
-    from heisopt.moment_sdp import _random_rows
+    from heisopt._backend import DOMAIN_SOLVER, rng_for, unit_rows
 
     p = 7
     for k in (1, 4):
@@ -205,7 +204,7 @@ def test_random_rows_match_per_qubit_draws_bitwise(n):
             for i in range(n):
                 row = rng.standard_normal(p)
                 expect[b, i] = row / np.sqrt((row * row).sum())
-        got = _random_rows(2, n, p, rng_for(11, DOMAIN_SOLVER, k))
+        got = unit_rows(rng_for(11, DOMAIN_SOLVER, k), (2, n, p))
         assert np.array_equal(got, expect)
 
 

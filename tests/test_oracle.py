@@ -13,7 +13,7 @@ from heisopt import (
     exact_max_eigenvalue,
     product_energy,
 )
-from heisopt import _kernels, oracle
+from heisopt import _backend, _kernels
 
 
 def test_known_single_edge_values():
@@ -97,8 +97,8 @@ def test_zero_weight_flip_edge_takes_diagonal_route():
 
 
 def _matvec(inst, psi):
-    ei, ej, w, wc3 = inst.arrays()
-    diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+    ei, ej, _, wc3 = inst.arrays()
+    diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
     out = np.empty_like(psi)
     _kernels.apply_edges(psi, out, diag, _kernels.flip_terms(inst.n, ei, ej, wc3))
     return out
@@ -134,8 +134,8 @@ def test_apply_edges_matches_kron_reference(rng, n, pairs):
 def test_diag_extreme_matches_dense_diagonal(rng):
     for _ in range(20):
         inst = random_instance(rng, n=int(rng.integers(2, 10)), coeffs="zz")
-        ei, ej, w, wc3 = inst.arrays()
-        best, arg = _kernels.diag_extreme(inst.n, ei, ej, -wc3[:, 2], float(w.sum() + inst.offset))
+        ei, ej, _, wc3 = inst.arrays()
+        best, arg = _kernels.diag_extreme(inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
         dense = np.diag(dense_reference(inst)).real
         top = np.flatnonzero(dense >= dense.max() - 1e-12)
         assert best == pytest.approx(dense.max(), abs=1e-12)
@@ -148,7 +148,7 @@ def test_diag_extreme_matches_dense_diagonal(rng):
 def test_lanczos_refuses_before_allocating(monkeypatch):
     inst = Instance(n=12, edges=(Edge(0, 11, 1.0, 1, 1, 1),))
     calls = []
-    monkeypatch.setattr(oracle, "_available_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(_backend, "available_bytes", lambda: 1 << 20)
     monkeypatch.setattr(_kernels, "apply_edges", lambda *args: calls.append(1))
     with pytest.raises(OracleLimitError) as err:
         exact_max_eigenvalue(inst)
@@ -161,7 +161,7 @@ def test_lanczos_refuses_before_allocating(monkeypatch):
 
 
 def test_available_bytes_reads_meminfo():
-    avail = oracle._available_bytes()
+    avail = _backend.available_bytes()
     assert avail is None or avail > 0
 
 

@@ -313,7 +313,8 @@ def xy_loop():
     base = random_instance(rng, n=24, p=0.3)
     inst = Instance(n=24, edges=tuple(Edge(e.i, e.j, e.w, 1, 1, 0) for e in base.edges))
     sol = random_triads(24, rng)
-    block = {"bfv": rounding._block_trials(24, inst.m, 2), "axis": rounding._block_trials(24, inst.m, 1)}
+    # a trial's draw is r x r*72 floats on r axes of 24 triads of width 72
+    block = {"bfv": rounding._block_trials(2 * 2 * 72, inst.m), "axis": rounding._block_trials(72, inst.m)}
     loops = {s: one_trial_loop(inst, sol, s, block[s] + 1, seed=5) for s in ROUNDERS}
     return inst, sol, block, loops
 
@@ -343,7 +344,7 @@ def test_equal_axis_patterns_score_bitwise_equal(monkeypatch):
     inst = random_instance(rng, n=6, p=0.9)
     sol = random_triads(6, rng)
     monkeypatch.setattr(rounding, "_BLOCK_BYTES", 7 * 8 * max(3 * 6, 3 * inst.m))
-    assert rounding._block_trials(6, inst.m, 1) == 7
+    assert rounding._block_trials(18, inst.m) == 7
     longest = 7 * 40 + 6
     _, blochs = one_trial_loop(inst, sol, "axis", longest, seed=2)
     groups = {}
