@@ -183,20 +183,29 @@ def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
 # ---------------------------------------------------- matrix-free Hamiltonian
 #
 # Computational-basis convention: qubit i sits at bit (n-1-i); bit 0 means
-# Z eigenvalue +1. A state of 2^n amplitudes reshaped to pair_shape(n, i, j),
-# (2^i, 2, 2^(j-i-1), 2, 2^(n-1-j)), holds qubits i < j on axes 1 and 3, so
-# every edge term acts on a view and needs no index arrays (the bit-structured
-# matvec of exact diagonalisation; Sandvik 2010, arXiv:1101.3281):
-#   XX reverses axes 1 and 3, [:, ::-1, :, ::-1];
-#   YY is the same reversal times -zz;
-#   ZZ is the 2 x 2 sign zz = [[1, -1], [-1, 1]] broadcast on axes 1 and 3.
-# The operator is real. Its diagonal, the offset plus every edge's ZZ term, is
-# built once (zz_diagonal); a matvec is then diag * psi plus one flip per edge
-# with an XX or YY term, out_view += P_e * flipped(psi_view) with the 2 x 2
-# factor P_e = f_xx - f_yy zz (flip_terms).
+# Z eigenvalue +1. The operator is real. Its diagonal, the offset plus every
+# edge's ZZ term, is built once (zz_diagonal): a state of 2^n amplitudes
+# reshaped to pair_shape(n, i, j), (2^i, 2, 2^(j-i-1), 2, 2^(n-1-j)), holds
+# qubits i < j on axes 1 and 3, where ZZ is the 2 x 2 sign zz = [[1, -1],
+# [-1, 1]] broadcast over the other axes.
+#
+# Every edge with an XX or YY term (flip_edges) is one flip term f: XX and YY
+# both flip bits i and j, so row x of H gets vals[f, x] * psi[x ^ mask_f]
+# (the bit-flip matvec of exact diagonalisation; Sandvik 2010,
+# arXiv:1101.3281). With XX -> 1 and YY -> -zz, the value is c_y - c_x where
+# bits i and j of x are equal and -c_x - c_y where they differ, for
+# (c_x, c_y) = w (alpha, beta). flip_table precomputes vals, T x 2^n doubles
+# or 8 bytes per (term, amplitude), and no column table: apply_edges runs
+# over chunks of 2^c rows, whose two (T, 2^c) temporaries fit
+# _FLIP_CHUNK_BYTES at any n. Row x0 + r of a chunk (r < 2^c) is x0 | r, so
+# its column is x0 ^ (r ^ mask_f): one XOR of the first chunk's columns, then
+# one np.take of psi, then a multiply-and-sum over the terms.
 
 # zz on axes 1 and 3 of a pair view, broadcast over axes 0, 2 and 4
 _ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+
+# byte budget of apply_edges's per-chunk columns (int64) and gathered amplitudes
+_FLIP_CHUNK_BYTES = 1 << 19
 
 
 def pair_shape(n, i, j):
@@ -213,26 +222,47 @@ def zz_diagonal(n, ei, ej, fzz, base):
     return diag
 
 
-def flip_terms(n, ei, ej, wc3):
-    """[(pair shape, P_e)] for the edges with an XX or YY term, in edge order."""
-    return [
-        (pair_shape(n, i, j), -cx + cy * _ZZ)
-        for i, j, (cx, cy, _) in zip(ei.tolist(), ej.tolist(), wc3.tolist())
-        if cx != 0.0 or cy != 0.0
-    ]
+def flip_edges(wc3):
+    """Indices of the edges with a nonzero XX or YY term, in edge order."""
+    return np.flatnonzero((wc3[:, 0] != 0.0) | (wc3[:, 1] != 0.0))
 
 
-def apply_edges(psi, out, diag, terms):
-    """out = H psi, with H's diagonal diag and its off-diagonal flip_terms."""
-    np.multiply(diag, psi, out=out)
-    for shape, P in terms:
-        view = out.reshape(shape)
-        view += P * psi.reshape(shape)[:, ::-1, :, ::-1]
+def flip_table(n, ei, ej, wc3):
+    """(cols, vals): one flip term per edge of flip_edges, in edge order.
+
+    vals (T, 2^n) float64 holds vals[f, x] = H[x, x ^ mask_f] from that edge,
+    with mask_f the bits of its qubits; cols (T, R) int64 holds the columns
+    x ^ mask_f of the first chunk of rows, x < R, so cols[f, 0] = mask_f.
+    """
+    terms = flip_edges(wc3)
+    size = 1 << n
+    # the largest power of two rows, at most 2^n, whose temporaries fit the budget
+    fit = _FLIP_CHUNK_BYTES // (16 * max(1, terms.size))
+    rows = min(size, 1 << max(0, fit.bit_length() - 1))
+    masks = (1 << (n - 1 - ei[terms])) | (1 << (n - 1 - ej[terms]))
+    vals = np.empty((terms.size, size))
+    for f, e in enumerate(terms.tolist()):
+        view = vals[f].reshape(pair_shape(n, int(ei[e]), int(ej[e])))
+        view[...] = -wc3[e, 0] + wc3[e, 1] * _ZZ
+    return np.arange(rows) ^ masks[:, None], vals
+
+
+def apply_edges(psi, out, diag, table):
+    """out = H psi, with H's diagonal diag and its off-diagonal flip_table."""
+    first, vals = table
+    rows = first.shape[1]
+    cols = np.empty_like(first)
+    gathered = np.empty(first.shape)
+    for x0 in range(0, psi.size, rows):
+        chunk = slice(x0, x0 + rows)
+        psi.take(np.bitwise_xor(first, x0, out=cols) if x0 else first, out=gathered, mode="clip")
+        np.einsum("fx,fx->x", gathered, vals[:, chunk], out=out[chunk])
+        out[chunk] += diag[chunk] * psi[chunk]
 
 
 # ------------------------------------------------------- diagonal extreme scan
 #
-# When flip_terms is empty (no edge has a nonzero XX or YY term) the
+# When flip_edges is empty (no edge has a nonzero XX or YY term) the
 # Hamiltonian is diagonal; the maximum over basis states is exact (residual 0).
 
 

@@ -3,18 +3,28 @@
 Two eigenvalue routes, picked from the matrix-free operator
 (_kernels, "matrix-free Hamiltonian") and reported as ExactResult.method:
 
-  * diagonal - no edge has a nonzero XX or YY term (flip_terms is empty),
+  * diagonal - no edge has a nonzero XX or YY term (flip_edges is empty),
                so the Hamiltonian is diagonal in the computational basis;
                scan its 2^n diagonal entries without forming a matrix.
   * lanczos  - matrix-free Lanczos with full reorthogonalisation against a
-               bounded basis, restarted from the current Ritz vector until
-               the true residual ||H psi - lambda psi|| is small. Its
-               diagonal (offset plus ZZ terms) is built once per call; each
-               matvec adds one strided flip per flip term.
+               bounded basis of k = min(_BASIS, 2^n) vectors. Its diagonal
+               (offset plus ZZ terms) and its flip table (one row of 2^n
+               values per edge with an XX or YY term) are built once per
+               call. Every _CHECK_EVERY steps, and when the basis is full
+               or the Krylov space invariant, it takes the top eigenpair
+               (theta, s) of the tridiagonal T_j; beta_j |s_j| is the
+               residual of that Ritz pair (Parlett, The Symmetric Eigenvalue
+               Problem, 13.2). Once it is at most _ESTIMATE_MARGIN times the
+               tolerance, the Ritz vector is formed and accepted only if its
+               true residual ||H psi - lambda psi|| is at most _TOL (1 +
+               |lambda|); otherwise the steps go on. A full basis (or an
+               invariant space) whose Ritz vector fails that test restarts
+               from it.
 
 Both stop at MAX_QUBITS; larger instances raise OracleLimitError, and so
-does a Lanczos run whose basis and vectors, (_BASIS + 4) * 2^n doubles
-(about 537 MB at n = 20), exceed the memory the kernel reports available.
+does a Lanczos run whose basis, vectors and flip table, (_BASIS + 4 + T) *
+2^n doubles for T flip terms (about 537 MB plus 8.4 MB per term at n = 20),
+exceed the memory the kernel reports available.
 
 Plus a Bloch-vector coordinate-ascent search for the best product state,
 the reference point that an oracle pipeline reports. Its restarts are the
@@ -52,6 +62,10 @@ MAX_QUBITS = 20
 _BASIS = 60
 _MAX_RESTARTS = 500
 _TOL = 1e-10
+# Lanczos tests its Ritz residual estimate every _CHECK_EVERY steps, and forms
+# the Ritz vector once the estimate is at most _ESTIMATE_MARGIN x the tolerance
+_CHECK_EVERY = 5
+_ESTIMATE_MARGIN = 0.1
 # the product search stops once no restart gains this much in a full sweep,
 # or after this many sweeps
 _ASCENT_TOL = 1e-12
@@ -75,19 +89,21 @@ def check_qubits(inst: Instance) -> None:
         raise OracleLimitError(f"n={inst.n} exceeds the exact oracle's limit of {MAX_QUBITS} qubits")
 
 
-def _lanczos_max(zz, terms) -> ExactResult:
-    """Lanczos on the diagonal zz_diagonal(*zz) plus the flips of terms."""
-    n = zz[0]
+def _lanczos_max(zz, wc3, terms) -> ExactResult:
+    """Lanczos on the diagonal zz_diagonal(*zz) plus the `terms` flip terms of wc3."""
+    n, ei, ej = zz[:3]
     size = 1 << n
     k = min(_BASIS, size)
-    # held at once: the basis, the diagonal, out, v and one temporary
-    need = (k + 4) * size * 8
+    # held at once: the basis, the diagonal, out, v, one temporary and the
+    # flip table
+    need = (k + 4 + terms) * size * 8
     avail = _backend.available_bytes()
     if avail is not None and need > avail:
         raise OracleLimitError(
             f"Lanczos at n={n} needs {need} bytes but only {avail} bytes are available"
         )
     diag = _kernels.zz_diagonal(*zz)
+    table = _kernels.flip_table(n, ei, ej, wc3)
     Q = np.empty((k, size))
     out = np.empty(size)
     # A random start has weight in every symmetry sector; all-ones has none
@@ -97,27 +113,41 @@ def _lanczos_max(zz, terms) -> ExactResult:
         Q[0] = v / np.linalg.norm(v)
         a = np.zeros(k)
         b = np.zeros(k)
-        m = k
         for j in range(k):
-            _kernels.apply_edges(Q[j], out, diag, terms)
+            m = j + 1
+            _kernels.apply_edges(Q[j], out, diag, table)
             a[j] = Q[j] @ out
-            if j + 1 == k:
+            last = m == k
+            if not last:
+                # the three-term recurrence, then one full reorthogonalisation,
+                # and a second one only if the first cancelled much of r
+                # (Daniel, Gragg, Kaufman & Stewart 1976)
+                r = out - a[j] * Q[j]
+                if j:
+                    r -= b[j - 1] * Q[j - 1]
+                before = np.linalg.norm(r)
+                r -= Q[:m].T @ (Q[:m] @ r)
+                b[j] = np.linalg.norm(r)
+                if b[j] < np.sqrt(0.5) * before:
+                    r -= Q[:m].T @ (Q[:m] @ r)
+                    b[j] = np.linalg.norm(r)
+                # the Krylov space is invariant: its Ritz values are exact
+                last = b[j] <= 1e-12 * np.linalg.norm(out)
+            if last or m % _CHECK_EVERY == 0:
+                T = np.diag(a[:m]) + np.diag(b[: m - 1], 1) + np.diag(b[: m - 1], -1)
+                thetas, S = np.linalg.eigh(T)
+                theta, s = thetas[-1], S[:, -1]
+                if last or b[j] * abs(s[-1]) <= _ESTIMATE_MARGIN * _TOL * (1.0 + abs(theta)):
+                    v = s @ Q[:m]
+                    v /= np.linalg.norm(v)
+                    _kernels.apply_edges(v, out, diag, table)
+                    lam = float(v @ out)
+                    resid = float(np.linalg.norm(out - lam * v))
+                    if resid <= _TOL * (1.0 + abs(lam)):
+                        return ExactResult(lambda_max=lam, method="lanczos", residual=resid)
+            if last:
                 break
-            r = out - Q[: j + 1].T @ (Q[: j + 1] @ out)
-            r -= Q[: j + 1].T @ (Q[: j + 1] @ r)
-            b[j] = np.linalg.norm(r)
-            if b[j] <= 1e-12 * np.linalg.norm(out):
-                m = j + 1  # the Krylov space is invariant: its Ritz values are exact
-                break
-            Q[j + 1] = r / b[j]
-        T = np.diag(a[:m]) + np.diag(b[: m - 1], 1) + np.diag(b[: m - 1], -1)
-        v = np.linalg.eigh(T)[1][:, -1] @ Q[:m]
-        v /= np.linalg.norm(v)
-        _kernels.apply_edges(v, out, diag, terms)
-        lam = float(v @ out)
-        resid = float(np.linalg.norm(out - lam * v))
-        if resid <= _TOL * (1.0 + abs(lam)):
-            return ExactResult(lambda_max=lam, method="lanczos", residual=resid)
+            Q[m] = r / b[j]
     raise RuntimeError(
         f"Lanczos did not reach residual {_TOL} x (1 + |lambda|) in {_MAX_RESTARTS} restarts "
         f"of {k} vectors"
@@ -133,11 +163,11 @@ def exact_max_eigenvalue(inst: Instance) -> ExactResult:
     check_qubits(inst)
     ei, ej, _, wc3 = inst.arrays()
     zz = (inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
-    terms = _kernels.flip_terms(inst.n, ei, ej, wc3)
+    terms = _kernels.flip_edges(wc3).size
     if not terms:
         best, _ = _kernels.diag_extreme(*zz)
         return ExactResult(lambda_max=best, method="diagonal", residual=0.0)
-    return _lanczos_max(zz, terms)
+    return _lanczos_max(zz, wc3, terms)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ the Z = +1 eigenstate. With it, every edge term
 is a real symmetric matrix (Y x Y has real entries).
 
 build_dense writes out the oracle's matrix-free operator
-(_kernels.zz_diagonal and flip_terms) into a 2^n x 2^n matrix, so one module
+(_kernels.zz_diagonal and flip_table) into a 2^n x 2^n matrix, so one module
 says how an edge becomes matrix entries. Every two-qubit Pauli expansion
 (Fano forms, the reduction's shared term) contracts one table,
 _PAULI2[a, b] = sigma_a x sigma_b with sigma_0 = I.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instance as _inst
-from ._kernels import flip_terms, product_energy_kernel, zz_diagonal
+from ._kernels import flip_table, product_energy_kernel, zz_diagonal
 
 __all__ = [
     "I2",
@@ -116,10 +116,9 @@ def build_dense(inst: _inst.Instance) -> DenseHermitian:
     s = np.arange(1 << n)
     H = np.zeros((s.size, s.size), dtype=complex)
     H[s, s] = zz_diagonal(n, ei, ej, -wc3[:, 2], inst.identity_coeff)
-    for shape, P in flip_terms(n, ei, ej, wc3):
-        # the bits of qubits j and i have the values shape[4] and 2 shape[2] shape[4]
-        mask = shape[4] * (1 + 2 * shape[2])
-        H[s, s ^ mask] += np.broadcast_to(P, shape).ravel()
+    cols, vals = flip_table(n, ei, ej, wc3)
+    for mask, val in zip(cols[:, 0].tolist(), vals):
+        H[s, s ^ mask] += val
     return DenseHermitian(H)
 
 

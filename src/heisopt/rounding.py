@@ -7,7 +7,8 @@ Bloch vector is R x_i / ||R x_i|| spread over those axes.
 
   * bfv_round - family-uniform instances only, on the active axes.
   * gw_axis_round - any instance, on the single axis a* with the largest
-    relaxation contribution: at r = 1, R x_i / ||R x_i|| is exactly
+    relaxation contribution (the lowest such axis, where scores agree to a
+    relative 1e-12): at r = 1, R x_i / ||R x_i|| is exactly
     sign(g . v_{i,a*}), random-hyperplane rounding to a basis-aligned state.
 
 Both run `trials` independent draws, each a pure function of
@@ -246,6 +247,10 @@ def gw_axis_round(
     _check_solution(inst, sol)
     # Axis score: what the objective's coupling part contributes on axis a.
     wc3, dots = inst.arrays()[3], axis_dots(inst, sol)
-    scores = [-float(wc3[:, a] @ dots[:, a]) for a in range(3)]
-    a_star = int(np.argmax(scores))  # lowest index wins ties
+    scores = np.array([-float(wc3[:, a] @ dots[:, a]) for a in range(3)])
+    # Axes that share a relaxation block score the same in exact arithmetic
+    # but not always in floating point, so scores within a relative 1e-12 of
+    # the best tie and the lowest index wins.
+    best = scores.max()
+    a_star = int(np.flatnonzero(scores >= best - 1e-12 * abs(best))[0])
     return _project(inst, sol, trials, seed, [a_star])

@@ -13,7 +13,7 @@ from heisopt import (
     exact_max_eigenvalue,
     product_energy,
 )
-from heisopt import _backend, _kernels
+from heisopt import _backend, _kernels, oracle
 
 
 def test_known_single_edge_values():
@@ -100,7 +100,7 @@ def _matvec(inst, psi):
     ei, ej, _, wc3 = inst.arrays()
     diag = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
     out = np.empty_like(psi)
-    _kernels.apply_edges(psi, out, diag, _kernels.flip_terms(inst.n, ei, ej, wc3))
+    _kernels.apply_edges(psi, out, diag, _kernels.flip_table(inst.n, ei, ej, wc3))
     return out
 
 
@@ -114,7 +114,7 @@ def _matvec(inst, psi):
         (8, [(i, j) for i in range(8) for j in range(i + 1, 8)]),  # every pair
     ],
 )
-def test_apply_edges_matches_kron_reference(rng, n, pairs):
+def test_apply_edges_matches_kron_reference(monkeypatch, rng, n, pairs):
     # coefficients cycle through general edges, ZZ-only edges and edges
     # without a ZZ term
     kinds = [(None, None, None), (0.0, 0.0, None), (None, None, 0.0)]
@@ -125,10 +125,14 @@ def test_apply_edges_matches_kron_reference(rng, n, pairs):
     inst = Instance(n=n, edges=tuple(edges), offset=-0.375)
     H = dense_reference(inst)
     assert np.abs(H.imag).max() == 0.0
-    for _ in range(3):
-        psi = rng.standard_normal(1 << n)
-        want = H.real @ psi
-        assert np.abs(_matvec(inst, psi) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # the default chunk holds every row here; budgets for 4 rows and 1 row
+    # make the later chunks XOR their columns
+    for budget in (_kernels._FLIP_CHUNK_BYTES, 16 * len(pairs) * 4, 1):
+        monkeypatch.setattr(_kernels, "_FLIP_CHUNK_BYTES", budget)
+        for _ in range(3):
+            psi = rng.standard_normal(1 << n)
+            want = H.real @ psi
+            assert np.abs(_matvec(inst, psi) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_diag_extreme_matches_dense_diagonal(rng):
@@ -152,12 +156,52 @@ def test_lanczos_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(_kernels, "apply_edges", lambda *args: calls.append(1))
     with pytest.raises(OracleLimitError) as err:
         exact_max_eigenvalue(inst)
-    # 60 basis vectors plus 4 more of 2^12 doubles
-    assert str(64 * 8 * 4096) in str(err.value) and str(1 << 20) in str(err.value)
+    # 60 basis vectors, 4 more and one flip-table row of 2^12 doubles
+    assert str(65 * 8 * 4096) in str(err.value) and str(1 << 20) in str(err.value)
     assert calls == []
     # the diagonal route holds one vector and is not refused
     zz = Instance(n=12, edges=(Edge(0, 11, 1.0, 0, 0, 1),))
     assert exact_max_eigenvalue(zz).method == "diagonal"
+
+
+def _mixed_gnp(n, p, seed):
+    rng = np.random.default_rng(seed)
+    edges = tuple(
+        Edge(i, j, float(rng.uniform(0.1, 1.0)), *(float(x) for x in rng.uniform(-1, 1, 3)))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    )
+    return Instance(n, edges)
+
+
+def _counted_lanczos(monkeypatch, inst):
+    calls = []
+    apply_edges = _kernels.apply_edges
+    monkeypatch.setattr(_kernels, "apply_edges", lambda *args: calls.append(1) or apply_edges(*args))
+    res = exact_max_eigenvalue(inst)
+    monkeypatch.setattr(_kernels, "apply_edges", apply_edges)
+    assert res.method == "lanczos"
+    assert res.residual <= oracle._TOL * (1.0 + abs(res.lambda_max))
+    want = float(np.linalg.eigvalsh(dense_reference(inst))[-1])
+    assert res.lambda_max == pytest.approx(want, abs=1e-9)
+    return res, len(calls)
+
+
+def test_lanczos_stops_on_its_ritz_residual(monkeypatch):
+    # filling the basis before every test took two bases of 60 vectors plus
+    # one matvec each, 122 matvecs, on this instance
+    _, calls = _counted_lanczos(monkeypatch, _mixed_gnp(10, 0.5, 1))
+    assert calls < 122
+
+
+def test_lanczos_accepts_only_a_true_residual(monkeypatch):
+    # an estimate that always passes: every check forms a Ritz vector, whose
+    # true residual fails until the run has converged
+    inst = _mixed_gnp(10, 0.5, 1)
+    _, calls = _counted_lanczos(monkeypatch, inst)
+    monkeypatch.setattr(oracle, "_ESTIMATE_MARGIN", np.inf)
+    _, eager = _counted_lanczos(monkeypatch, inst)
+    # each rejected Ritz vector cost one matvec
+    assert eager > calls
 
 
 def test_available_bytes_reads_meminfo():

@@ -12,6 +12,7 @@ from heisopt import (
     bfv_round,
     caratheodory_split,
     exact_max_eigenvalue,
+    generate,
     gw_axis_round,
     is_family_uniform,
     rounding,
@@ -263,12 +264,12 @@ def edge_energy(inst, bloch):
 
 
 def axis_star(inst, sol):
-    """The axis scheme's chosen axis, scored edge by edge."""
-    scores = [
+    """The axis scheme's chosen axis, scored edge by edge; the lowest of near-ties wins."""
+    scores = np.array([
         -sum(e.w * e.coeffs[a] * sol.vectors[e.i, a] @ sol.vectors[e.j, a] for e in inst.edges)
         for a in range(3)
-    ]
-    return int(np.argmax(scores))
+    ])
+    return int(np.flatnonzero(scores >= scores.max() - 1e-12 * abs(scores.max()))[0])
 
 
 def one_trial_loop(inst, sol, scheme, trials, seed, skip_first=None):
@@ -317,6 +318,20 @@ def xy_loop():
     block = {"bfv": rounding._block_trials(2 * 2 * 72, inst.m), "axis": rounding._block_trials(72, inst.m)}
     loops = {s: one_trial_loop(inst, sol, s, block[s] + 1, seed=5) for s in ROUNDERS}
     return inst, sol, block, loops
+
+
+@pytest.mark.parametrize("family", [(1, 1, 0), (1, 1, 1)])
+@pytest.mark.parametrize("kind, params", [("cycle", {}), ("complete", {}), ("random_gnp", {"p": 0.3})])
+def test_axis_ties_go_to_the_lowest_axis(kind, params, family):
+    # on a uniform XY or XYZ instance the active axes share one relaxation
+    # block, so their scores are equal in exact arithmetic and differ, if at
+    # all, in the last bits; the axis scheme must round on axis 0
+    for n in (6, 7, 9):
+        for seed in (1, 2, 7):
+            inst = generate(kind, seed=seed, n=n, family=family, weights="uniform", **params)
+            sol = solve_moment_sdp(inst, SolverConfig(seed=seed))
+            out = gw_axis_round(inst, sol, trials=4, seed=0)
+            assert np.flatnonzero(out.state.bloch.any(axis=0)).tolist() == [0], (n, seed)
 
 
 @pytest.mark.parametrize("scheme", ["bfv", "axis"])
