@@ -84,15 +84,21 @@ def colour_classes(n, ei, ej, wc3):
     return A, [(I, np.ascontiguousarray(A[:, I])) for I in classes]
 
 
-# One class update of either ascent. A qubit whose coupling is zero (in one
-# restart of the search, or one block of the relaxation) keeps its vector.
+# One class update of either ascent (the mixing method's block step; Wang,
+# Chang & Kolter 2017, arXiv:1706.00476). A qubit whose coupling is zero (in
+# one restart of the search, or one block of the relaxation) keeps its vector.
 
 
 def set_normalised(W, I, c, axis):
-    """W[:, I] = c scaled to unit norm along `axis`; a zero vector keeps W's value."""
-    nc = np.sqrt((c * c).sum(axis=axis, keepdims=True))
-    if (nc > 0.0).all():
-        W[:, I] = c / nc
+    """W[:, I] = c scaled to unit norm along `axis`; a zero vector keeps W's value.
+
+    c, a fresh coupling from the class's matmul, is overwritten.
+    """
+    nc = np.add.reduce(c * c, axis=axis, keepdims=True)
+    np.sqrt(nc, out=nc)
+    if np.minimum.reduce(nc, axis=None) > 0.0:
+        c /= nc
+        W[:, I] = c
     else:
         W[:, I] = np.where(nc > 0.0, c / np.where(nc > 0.0, nc, 1.0), W[:, I])
 
@@ -183,11 +189,24 @@ def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
 # ---------------------------------------------------- matrix-free Hamiltonian
 #
 # Computational-basis convention: qubit i sits at bit (n-1-i); bit 0 means
-# Z eigenvalue +1. The operator is real. Its diagonal, the offset plus every
-# edge's ZZ term, is built once (zz_diagonal): a state of 2^n amplitudes
-# reshaped to pair_shape(n, i, j), (2^i, 2, 2^(j-i-1), 2, 2^(n-1-j)), holds
-# qubits i < j on axes 1 and 3, where ZZ is the 2 x 2 sign zz = [[1, -1],
-# [-1, 1]] broadcast over the other axes.
+# Z eigenvalue +1. The operator is real. A state of 2^n amplitudes reshaped
+# to pair_shape(n, i, j), (2^i, 2, 2^(j-i-1), 2, 2^(n-1-j)), holds qubits
+# i < j on axes 1 and 3, where ZZ is the 2 x 2 sign zz = [[1, -1], [-1, 1]]
+# broadcast over the other axes.
+#
+# The diagonal, the offset plus every edge's ZZ term, is built once
+# (zz_diagonal), from the low bits up, as exact diagonalisation builds its
+# basis-state diagonals bit by bit (Sandvik, below). Once qubits
+# i+1..n-1 are in, d = diag[:2^(n-1-i)] holds their part. Qubit i's field
+# h = sum of f s_j over its edges (i, j), s_j = +-1 the sign of qubit j, is
+# summed on the last three axes of pair_shape(n, i, j) over the still unused
+# block after d, and doubles the vector: d + h where qubit i's bit is 0, and
+# d - h where it is 1. Flipping every qubit negates h bit for bit and leaves
+# d unchanged, so d - h is d + h reversed, bit for bit: each step writes
+# d + h in place and its reversed copy after it, and the diagonal is
+# palindromic, diag[x] == diag[2^n - 1 - x]. The build reads and writes
+# about sum_e 2^(n-1-i_e) + 2 * 2^n entries, against m * 2^n for adding each
+# edge to the full vector, and holds only the 2^n vector.
 #
 # Every edge with an XX or YY term (flip_edges) is one flip term f: XX and YY
 # both flip bits i and j, so row x of H gets vals[f, x] * psi[x ^ mask_f]
@@ -203,6 +222,8 @@ def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
 
 # zz on axes 1 and 3 of a pair view, broadcast over axes 0, 2 and 4
 _ZZ = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+# z on axis 1 of a pair view's last three axes, broadcast over axes 0 and 2
+_SIGN = np.array([1.0, -1.0])[:, None]
 
 # byte budget of apply_edges's per-chunk columns (int64) and gathered amplitudes
 _FLIP_CHUNK_BYTES = 1 << 19
@@ -214,11 +235,28 @@ def pair_shape(n, i, j):
 
 
 def zz_diagonal(n, ei, ej, fzz, base):
-    """Diagonal base + sum_e fzz[e] zz_e of length 2^n, in edge order."""
-    diag = np.full(1 << n, base)
+    """Diagonal base + sum_e fzz[e] zz_e of length 2^n, grown one qubit at a time.
+
+    Qubit i's field on qubits i+1..n-1 doubles the diagonal of those qubits;
+    the result is bitwise palindromic, diag[x] == diag[2^n - 1 - x].
+    """
+    diag = np.empty(1 << n)
+    diag[0] = base
+    up = [[] for _ in range(n)]
     for i, j, f in zip(ei.tolist(), ej.tolist(), fzz.tolist()):
-        view = diag.reshape(pair_shape(n, i, j))
-        view += f * _ZZ
+        up[i].append((j, f))
+    for i in range(n - 1, -1, -1):
+        size = 1 << (n - 1 - i)
+        d, h = diag[:size], diag[size : 2 * size]
+        for e, (j, f) in enumerate(up[i]):
+            view = h.reshape(pair_shape(n, i, j)[2:])
+            if e:
+                view += f * _SIGN
+            else:
+                view[...] = f * _SIGN
+        if up[i]:
+            d += h
+        h[...] = d[::-1]
     return diag
 
 
@@ -264,10 +302,12 @@ def apply_edges(psi, out, diag, table):
 #
 # When flip_edges is empty (no edge has a nonzero XX or YY term) the
 # Hamiltonian is diagonal; the maximum over basis states is exact (residual 0).
+# The diagonal is palindromic, so a maximum at x >= 2^(n-1) repeats at
+# 2^n - 1 - x < 2^(n-1): the first half holds the first maximum.
 
 
 def diag_extreme(n, ei, ej, fzz, base):
-    """(max, argmax) of zz_diagonal(n, ei, ej, fzz, base)."""
-    val = zz_diagonal(n, ei, ej, fzz, base)
+    """(max, first argmax) of zz_diagonal(n, ei, ej, fzz, base), from its first half."""
+    val = zz_diagonal(n, ei, ej, fzz, base)[: 1 << (n - 1)]
     arg = int(np.argmax(val))
     return float(val[arg]), arg

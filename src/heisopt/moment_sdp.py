@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _backend, _kernels
 from ._backend import DOMAIN_SOLVER, rng_for, unit_rows
 from .instance import Instance
 # best_product_state is not called here; perfbench's traced run wraps
@@ -119,7 +119,9 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
     The best-valued attempt is returned with its own bound, which is valid
     whether or not it converged. A capped solve logs a warning on the
-    "heisopt" logger.
+    "heisopt" logger. MemoryError refuses the blocks' copies of the
+    coupling before they are made if they exceed the memory the kernel
+    reports available.
     """
     cfg = cfg or SolverConfig()
     n = inst.n
@@ -127,6 +129,14 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     A, classes = inst.incidence()
     keys, block = _axis_blocks(A)
     mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
+    # the blocks' couplings and class slices are copies, K (n + |I|) n doubles
+    # on top of the 6 n^2 that incidence() checked
+    need = 8 * len(keys) * (n + sum(I.size for I, _ in classes)) * n
+    avail = _backend.available_bytes()
+    if avail is not None and need > avail:
+        raise MemoryError(
+            f"the relaxation blocks at n={n} need {need} bytes but only {avail} bytes are available"
+        )
     AK, classes = A[keys], [(I, AI[keys]) for I, AI in classes]
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 

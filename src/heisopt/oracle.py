@@ -5,7 +5,9 @@ Two eigenvalue routes, picked from the matrix-free operator
 
   * diagonal - no edge has a nonzero XX or YY term (flip_edges is empty),
                so the Hamiltonian is diagonal in the computational basis;
-               scan its 2^n diagonal entries without forming a matrix.
+               build that diagonal one qubit at a time (zz_diagonal) and
+               scan its first 2^(n-1) entries, where the palindromic
+               diagonal has its first maximum, without forming a matrix.
   * lanczos  - matrix-free Lanczos with full reorthogonalisation against a
                bounded basis of k = min(_BASIS, 2^n) vectors. Its diagonal
                (offset plus ZZ terms) and its flip table (one row of 2^n

@@ -313,3 +313,31 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     for r, i in ((0, 0), (2, 0), (1, 3)):
         assert not np.array_equal(W[:, i, r], start[:, i, r])
     assert np.allclose(np.linalg.norm(W, axis=0), 1.0)
+
+
+
+@pytest.mark.parametrize(
+    "shape, axis, zero",
+    [
+        ((3, 4, 6), 0, (slice(None), 1, 2)),  # the search's fields (3, |I|, R)
+        ((2, 4, 5), 2, (1, 2, slice(None))),  # the relaxation's rows (K, |I|, p)
+    ],
+)
+def test_set_normalised_matches_plain_normalisation_bitwise(rng, shape, axis, zero):
+    I = np.array([1, 4, 6, 8])
+    W = rng.standard_normal((shape[0], 9, shape[2]))
+    c = rng.standard_normal(shape)
+    want = W.copy()
+    want[:, I] = c / np.sqrt((c * c).sum(axis, keepdims=True))
+    _kernels.set_normalised(W, I, c.copy(), axis)
+    assert np.array_equal(W, want)
+    # an exactly zero field keeps W's vector there, and only there
+    c = rng.standard_normal(shape)
+    c[zero] = 0.0
+    nc = np.sqrt((c * c).sum(axis, keepdims=True))
+    rows = c / np.where(nc > 0.0, nc, 1.0)
+    rows[zero] = W[:, I][zero]
+    want = W.copy()
+    want[:, I] = rows
+    _kernels.set_normalised(W, I, c, axis)
+    assert np.array_equal(W, want)

@@ -26,6 +26,26 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
 
 
+def test_solver_refuses_block_copies_too_large_for_memory(monkeypatch):
+    from heisopt import _backend
+
+    # a ring of XY edges whose Y weights differ: two distinct blocks, K = 2,
+    # and every qubit coloured, so the copies, K (n + n) n doubles, are
+    # 32 n^2 bytes, below the 48 n^2 that incidence() checks
+    n = 8
+    ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    inst = Instance(n=n, edges=tuple(Edge(i, j, 1.0, 1, 0.5 + 0.05 * i, 0) for i, j in ring))
+    need = 32 * n**2
+    sizes = []
+    monkeypatch.setattr(_backend, "available_bytes", lambda: sizes.pop(0))
+    sizes[:] = [48 * n**2, need - 1]
+    with pytest.raises(MemoryError) as err:
+        solve_moment_sdp(inst)
+    assert f"need {need} bytes but only {need - 1} bytes are available" in str(err.value)
+    sizes[:] = [48 * n**2, need]
+    assert check_feasibility(solve_moment_sdp(inst)).passed
+
+
 def test_single_edge_f111_reaches_four():
     inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
     sol = solve_moment_sdp(inst, SolverConfig(restarts=3))

@@ -135,6 +135,28 @@ def test_apply_edges_matches_kron_reference(monkeypatch, rng, n, pairs):
             assert np.abs(_matvec(inst, psi) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _zz_cases():
+    rng = np.random.default_rng(25)
+    yield Instance(n=1, edges=())
+    yield Instance(n=2, edges=(Edge(0, 1, 0.75, 0, 0, -1),), offset=0.5)
+    for n in (3, 6, 10):
+        # a parallel edge, the outermost pair and a zero ZZ weight ride on
+        # random ZZ edges
+        edges = list(random_instance(rng, n=n, coeffs="zz", p=0.4).edges)
+        edges += [edges[0], Edge(0, n - 1, float(rng.uniform(0.1, 1.0)), 0, 0, -0.5), Edge(1, 2, 0.0, 0, 0, 1)]
+        yield Instance(n=n, edges=tuple(edges), offset=-1.25)
+
+
+@pytest.mark.parametrize("inst", list(_zz_cases()), ids=lambda inst: f"n{inst.n}m{inst.m}")
+def test_zz_diagonal_matches_kron_reference_and_is_palindromic(inst):
+    ei, ej, _, wc3 = inst.arrays()
+    d = _kernels.zz_diagonal(inst.n, ei, ej, -wc3[:, 2], inst.identity_coeff)
+    want = np.diag(dense_reference(inst)).real
+    assert np.abs(d - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # flipping every qubit leaves each ZZ term unchanged, bit for bit
+    assert np.array_equal(d, d[::-1])
+
+
 def test_diag_extreme_matches_dense_diagonal(rng):
     for _ in range(20):
         inst = random_instance(rng, n=int(rng.integers(2, 10)), coeffs="zz")
