@@ -14,11 +14,11 @@ Shared array conventions:
   ei, ej (m,) int64 edge endpoints, ei < ej; wc3 (m, 3) float64,
        wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma);
        the edge table of instance.Instance.arrays
-  A    (3, n, n) float64 dense coupling, A[k, i, j] = A[k, j, i] = sum of
-       -wc3[e, k] over the edges e between i and j (colour_classes); AK
-       (K, n, n) stacks the relaxation blocks' couplings
+  A    (K, n, n) float64 dense coupling of K axes (colour_classes): the
+       relaxation's K blocks, or all three axes for the product search;
+       A[b, i, j] = A[b, j, i] = sum of -wc3[e, axes[b]] over edges (i, j)
 
-The couplings of a class I are one matmul, AK[:, I] @ U or A[:, I] @ W. The
+The couplings of a class I are one matmul, A[:, I] @ U or A[:, I] @ W. The
 relaxation stops on its dual gap (rank_bound); the product search stops
 all its restarts once none gains tol in a sweep.
 """
@@ -59,18 +59,20 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # class's rows of the dense coupling A.
 
 
-def colour_classes(n, ei, ej, wc3):
-    """Coupling A (3, n, n) and greedy colour classes [(I, A[:, I])].
+def colour_classes(n, ei, ej, wc):
+    """Coupling A (K, n, n) of edge columns wc (m, K), and greedy colour classes [(I, A[:, I])].
 
-    A[k, i, j] sums -w_e * coeff_k(e) over the edges e between i and j
-    (parallel edges add up, in edge order). Qubits with an edge, of any
-    weight, are coloured in index order, each with the smallest colour none
-    of its neighbours holds, so the classes are deterministic; I lists a
-    class's qubits in index order.
+    A[k, i, j] sums -wc[e, k] over the edges e between i and j (parallel
+    edges add up, in edge order). Qubits with an edge, of any weight, are
+    coloured in index order, each with the smallest colour none of its
+    neighbours holds, so the classes are deterministic and do not depend on
+    wc; I lists a class's qubits in index order.
     """
+    K = wc.shape[1]
     flat = np.concatenate([ei * n + ej, ej * n + ei])
-    weights = -np.concatenate([wc3, wc3])
-    A = np.stack([np.bincount(flat, weights[:, k], n * n) for k in range(3)]).reshape(3, n, n)
+    # one bincount: column k fills bins k n^2 .. (k + 1) n^2 - 1, each in edge order
+    bins = (np.arange(K)[:, None] * (n * n) + flat).ravel()
+    A = np.bincount(bins, -np.concatenate([wc, wc]).T.ravel(), K * n * n).reshape(K, n, n)
     adj = np.zeros((n, n), dtype=bool)
     adj[ei, ej] = adj[ej, ei] = True
     colour = np.full(n, -1)
@@ -96,7 +98,7 @@ def set_normalised(W, I, c, axis):
     """
     nc = np.add.reduce(c * c, axis=axis, keepdims=True)
     np.sqrt(nc, out=nc)
-    if np.minimum.reduce(nc, axis=None) > 0.0:
+    if np.minimum.reduce(nc, axis=None, initial=np.inf) > 0.0:
         c /= nc
         W[:, I] = c
     else:
@@ -123,18 +125,18 @@ def set_normalised(W, I, c, axis):
 BOUND_EVERY = 10
 
 
-def rank_bound(U, AK, mult, wsum):
+def rank_bound(U, A, mult, wsum):
     """(value, bound) at unit rows U (K, n, p); block k counts mult[k] times."""
     n = U.shape[1]
-    lam = 0.5 * np.einsum("kip,kip->ki", U, AK @ U)
-    S = lam[:, :, None] * np.eye(n) - 0.5 * AK
+    lam = 0.5 * np.einsum("kip,kip->ki", U, A @ U)
+    S = lam[:, :, None] * np.eye(n) - 0.5 * A
     shift = n * np.maximum(0.0, -np.linalg.eigvalsh(S)[:, 0])
     blocks = lam.sum(axis=1)
     return wsum + float(mult @ blocks), wsum + float(mult @ (blocks + shift))
 
 
-def rank_sweeps(U, AK, classes, mult, wsum, max_sweeps, gap_tol):
-    """Ascend unit rows U (K, n, p) in place on couplings AK, classes [(I, AK[:, I])].
+def rank_sweeps(U, A, classes, mult, wsum, max_sweeps, gap_tol):
+    """Ascend unit rows U (K, n, p) in place on couplings A, classes [(I, A[:, I])].
 
     Stops once (bound - value) / max(1, |value|) <= gap_tol, or at max_sweeps.
     Returns (value, bound, sweeps, converged, monotone); monotone is False if
@@ -149,7 +151,7 @@ def rank_sweeps(U, AK, classes, mult, wsum, max_sweeps, gap_tol):
         sweeps += 1
         if sweeps % BOUND_EVERY and sweeps < max_sweeps:
             continue
-        new, bound = rank_bound(U, AK, mult, wsum)
+        new, bound = rank_bound(U, A, mult, wsum)
         monotone &= new >= value - 1e-8 * (1.0 + abs(value))
         value = new
         converged = (bound - value) / max(1.0, abs(value)) <= gap_tol

@@ -5,8 +5,9 @@ and the objective sum_e w*(1 - alpha <v_i1,v_j1> - beta <v_i2,v_j2> - gamma
 <v_i3,v_j3>) reads only same-axis inner products. So the relaxation is one
 Max-Cut-type SDP per axis coupling A[k], max 1/2 <A[k], Y> over PSD Y with
 unit diagonal, and three such Y make a feasible moment matrix. Axes with
-equal couplings (all three for the XYZ family) share one SDP, counted once
-per axis; an axis with a zero coupling adds 0 and holds a fixed vector.
+equal edge columns w * coeff_k (all three for the XYZ family) share one
+SDP, counted once per axis; an axis whose edge coefficients are all zero
+adds 0, holds a fixed vector and has no coupling built.
 
 Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
 ceil(sqrt(2n)) + 1), above which the landscape has no spurious
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend, _kernels
+from . import _kernels
 from ._backend import DOMAIN_SOLVER, rng_for, unit_rows
 from .instance import Instance
 # best_product_state is not called here; perfbench's traced run wraps
@@ -104,11 +105,12 @@ class FeasibilityReport:
     passed: bool
 
 
-def _axis_blocks(A: np.ndarray) -> tuple[list[int], list[int]]:
-    """Axes of the distinct nonzero couplings A[k], and each axis's index among them or -1."""
-    # a key is a nonzero coupling that no earlier axis repeats; a zero coupling matches no key
-    keys = [k for k in range(3) if A[k].any() and not any(np.array_equal(A[j], A[k]) for j in range(k))]
-    block = [next((b for b, j in enumerate(keys) if np.array_equal(A[j], A[k])), -1) for k in range(3)]
+def _axis_blocks(wc3: np.ndarray) -> tuple[list[int], list[int]]:
+    """Axes of the distinct nonzero edge columns wc3[:, k], and each axis's index among them or -1."""
+    # a key is a nonzero column that no earlier axis repeats; a zero column matches no key
+    cols = wc3.T
+    keys = [k for k in range(3) if cols[k].any() and not any(np.array_equal(cols[j], cols[k]) for j in range(k))]
+    block = [next((b for b, j in enumerate(keys) if np.array_equal(cols[j], cols[k])), -1) for k in range(3)]
     return keys, block
 
 
@@ -119,25 +121,16 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
     The best-valued attempt is returned with its own bound, which is valid
     whether or not it converged. A capped solve logs a warning on the
-    "heisopt" logger. MemoryError refuses the blocks' copies of the
-    coupling before they are made if they exceed the memory the kernel
-    reports available.
+    "heisopt" logger. The K blocks' couplings come from
+    inst.incidence(keys), whose MemoryError refuses them before they are
+    built if they exceed the memory the kernel reports available.
     """
     cfg = cfg or SolverConfig()
     n = inst.n
     wsum = float(inst.arrays()[2].sum())
-    A, classes = inst.incidence()
-    keys, block = _axis_blocks(A)
+    keys, block = _axis_blocks(inst.arrays()[3])
     mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
-    # the blocks' couplings and class slices are copies, K (n + |I|) n doubles
-    # on top of the 6 n^2 that incidence() checked
-    need = 8 * len(keys) * (n + sum(I.size for I, _ in classes)) * n
-    avail = _backend.available_bytes()
-    if avail is not None and need > avail:
-        raise MemoryError(
-            f"the relaxation blocks at n={n} need {need} bytes but only {avail} bytes are available"
-        )
-    AK, classes = A[keys], [(I, AI[keys]) for I, AI in classes]
+    A, classes = inst.incidence(keys)
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 
     best = None
@@ -145,7 +138,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     for a in range(cfg.restarts):
         U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, a), (len(keys), n, p))
         value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(
-            U, AK, classes, mult, wsum, MAX_SWEEPS, GAP_TOLERANCE
+            U, A, classes, mult, wsum, MAX_SWEEPS, GAP_TOLERANCE
         )
         if not monotone:
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
@@ -165,7 +158,7 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
         )
     diag = SolveDiagnostics(restarts=a + 1, total_sweeps=total, converged=converged,
                             capped=capped, upper_bound=bound + inst.offset, rank=p)
-    # v_{i,k} = e_k (x) u_{k,i}; a zero-coupling axis holds its block's first coordinate
+    # v_{i,k} = e_k (x) u_{k,i}; an axis with a zero column holds its block's first coordinate
     V = np.zeros((n, 3, 3 * n))
     for k, b in enumerate(block):
         V[:, k, k * n : k * n + p] = U[b] if b >= 0 else np.eye(p)[0]

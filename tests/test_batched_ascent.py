@@ -102,11 +102,11 @@ def block_vectors(n, block, U):
 
 
 def kernel_args(inst):
-    """(keys, block, AK, classes, mult) as solve_moment_sdp builds them."""
-    A, classes = inst.incidence()
-    keys, block = _axis_blocks(A)
+    """(keys, block, A, classes, mult) as solve_moment_sdp builds them."""
+    keys, block = _axis_blocks(inst.arrays()[3])
+    A, classes = inst.incidence(keys)
     mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
-    return keys, block, A[keys], [(I, AI[keys]) for I, AI in classes], mult
+    return keys, block, A, classes, mult
 
 
 def product_starts(inst, restarts, seed):
@@ -169,12 +169,12 @@ def test_relaxation_matches_one_restart_loop(rng):
     # reference: once every S_k is PSD the gap is exactly 0
     for style in ("arbitrary", "family", "corner"):
         inst = random_instance(rng, n=int(rng.integers(3, 6)), coeffs=style)
-        keys, block, AK, classes, mult = kernel_args(inst)
+        keys, block, A, classes, mult = kernel_args(inst)
         U = unit_rows(rng_for(int(rng.integers(100)), DOMAIN_SOLVER, 0), (len(keys), inst.n, 3))
         ref = np.array([relaxation_sweeps(inst, k, U[b].copy(), 25) for b, k in enumerate(keys)])
 
         wsum = inst.identity_coeff
-        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(U, AK, classes, mult, wsum, 25, -np.inf)
+        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(U, A, classes, mult, wsum, 25, -np.inf)
         assert sweeps == 25
         assert monotone
         assert np.allclose(U, ref, atol=1e-6)

@@ -200,12 +200,33 @@ def test_solve_exits_4_before_building_a_coupling_too_large_for_memory(tmp_path,
     assert main(["gen", "cycle", "--n", "300", "--out", str(inst)]) == 0
     calls = []
     monkeypatch.setattr(_kernels, "colour_classes", lambda *args: calls.append(1))
-    need = 6 * 8 * 300**2  # A and its class slices: 6 n^2 doubles
+    need = 2 * 8 * 300**2  # one XYZ block's A and its class slices: 2 n^2 doubles
     monkeypatch.setattr(_backend, "available_bytes", lambda: need - 1)
     for cmd in ("solve", "pipeline"):
         assert main([cmd, str(inst), "--out", str(tmp_path / "out")]) == 4
         assert f"needs {need} bytes but only {need - 1} bytes are available" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("2 1\n0 1 0 1 1 1\n", 0.0),  # zero weight
+        ("2 1\n0 1 1 0 0 0\n", 1.0),  # identity only
+        ("3 2\n0 1 1 1 1 1\n0 1 1 -1 -1 -1\n", 2.0),  # a cancelling pair
+    ],
+    ids=["zero-weight", "identity-only", "cancelling-pair"],
+)
+def test_instances_with_no_coupling_solve_and_pipeline(tmp_path, text, expect):
+    # H = wsum I, so the relaxation, its bound and lambda_max all equal wsum
+    inst = tmp_path / "flat.txt"
+    inst.write_text(text)
+    assert main(["solve", str(inst), "--out", str(tmp_path / "flat.sol")]) == 0
+    out = tmp_path / "report.json"
+    assert main(["pipeline", str(inst), "--scheme", "axis", "--oracle", "on", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["sdp_value"] == rep["sdp_upper_bound"] == expect
+    assert rep["lambda_max"] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_oracle_limit_exit_code(tmp_path):

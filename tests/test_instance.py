@@ -88,6 +88,28 @@ def test_incidence_mirrors_edges():
     assert sorted(q for I, _ in classes for q in I.tolist()) == [0, 1, 2, 3]
 
 
+def test_incidence_of_listed_axes_matches_the_full_build(rng):
+    # random multigraphs: parallel edges, zero weights and zero coefficients
+    for _ in range(8):
+        n = int(rng.integers(2, 9))
+        edges = []
+        for _ in range(int(rng.integers(1, 3 * n))):
+            i, j = sorted(int(q) for q in rng.choice(n, 2, replace=False))
+            w = float(rng.choice([0.0, rng.uniform(0.1, 1.0)]))
+            coeffs = (float(c) for c in rng.choice([-1.0, 0.0, 0.5, 1.0], 3))
+            edges.append(Edge(i, j, w, *coeffs))
+        inst = Instance(n=n, edges=tuple(edges))
+        A, classes = inst.incidence()
+        for axes in ([], [2], [0, 2], [0, 1, 2]):
+            AK, rows = inst.incidence(axes)
+            assert AK.shape == (len(axes), n, n)
+            assert np.array_equal(AK, A[axes]) and AK.tobytes() == A[axes].tobytes()
+            assert len(rows) == len(classes)
+            for (J, AJ), (I, AI) in zip(rows, classes):
+                assert np.array_equal(J, I)
+                assert np.array_equal(AJ, AI[axes])
+
+
 def test_arrays_are_built_once_and_read_only():
     inst = Instance(n=3, edges=(Edge(0, 2, 2.0, 1.0, 0.5, -1.0), Edge(1, 2, 3.0, 0, 0, 1)))
     first, again = inst.arrays(), inst.arrays()

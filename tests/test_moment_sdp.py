@@ -26,24 +26,42 @@ def test_solver_config_validation():
         SolverConfig(restarts=0)
 
 
-def test_solver_refuses_block_copies_too_large_for_memory(monkeypatch):
+def test_solver_refuses_blocks_too_large_for_memory(monkeypatch):
     from heisopt import _backend
 
-    # a ring of XY edges whose Y weights differ: two distinct blocks, K = 2,
-    # and every qubit coloured, so the copies, K (n + n) n doubles, are
-    # 32 n^2 bytes, below the 48 n^2 that incidence() checks
+    # one guard, in incidence(keys): the K distinct blocks' couplings and
+    # their class slices, 2Kn^2 doubles, on an XYZ, an XXZ and a mixed ring
     n = 8
     ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    inst = Instance(n=n, edges=tuple(Edge(i, j, 1.0, 1, 0.5 + 0.05 * i, 0) for i, j in ring))
-    need = 32 * n**2
-    sizes = []
-    monkeypatch.setattr(_backend, "available_bytes", lambda: sizes.pop(0))
-    sizes[:] = [48 * n**2, need - 1]
-    with pytest.raises(MemoryError) as err:
-        solve_moment_sdp(inst)
-    assert f"need {need} bytes but only {need - 1} bytes are available" in str(err.value)
-    sizes[:] = [48 * n**2, need]
-    assert check_feasibility(solve_moment_sdp(inst)).passed
+    for coeffs, K in (((1, 1, 1), 1), ((1, 1, 0.5), 2), ((1, 0.5, 0.25), 3)):
+        inst = Instance(n=n, edges=tuple(Edge(i, j, 1.0, *coeffs) for i, j in ring))
+        need = 16 * K * n**2
+        monkeypatch.setattr(_backend, "available_bytes", lambda: need - 1)
+        with pytest.raises(MemoryError) as err:
+            solve_moment_sdp(inst)
+        assert f"needs {need} bytes but only {need - 1} bytes are available" in str(err.value)
+        monkeypatch.setattr(_backend, "available_bytes", lambda: need)
+        assert check_feasibility(solve_moment_sdp(inst)).passed
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        (Edge(0, 1, 0.0, 1, 1, 1),),  # zero weight
+        (Edge(0, 1, 1.0, 0, 0, 0),),  # identity only
+        (Edge(0, 1, 1.0, 1, 1, 1), Edge(0, 1, 1.0, -1, -1, -1)),  # a cancelling pair
+    ],
+    ids=["zero-weight", "identity-only", "cancelling-pair"],
+)
+def test_solver_handles_instances_with_no_coupling(edges):
+    # no block, or one whose coupling is zero: H is a multiple of I
+    inst = Instance(n=3, edges=edges, offset=0.25)
+    sol = solve_moment_sdp(inst)
+    expect = inst.identity_coeff
+    assert sol.value == sol.diagnostics.upper_bound == expect
+    assert sol.diagnostics.converged
+    assert check_feasibility(sol).passed
+    assert exact_max_eigenvalue(inst).lambda_max == pytest.approx(expect, rel=1e-12)
 
 
 def test_single_edge_f111_reaches_four():
