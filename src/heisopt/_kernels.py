@@ -2,7 +2,7 @@
 
 The block coordinate ascents loop in Python over greedy colour classes, not
 over qubits: a class is an independent set, so one batched update of all its
-qubits is an exact block maximization.
+qubits is the same as updating them one by one.
 
 Shared array conventions:
   U    (K, n, p) float64, the relaxation's state, updated in place: U[k, i]
@@ -53,10 +53,10 @@ def product_energy_kernel(B, ei, ej, wc3, wsum):
 # ------------------------------------------------------------ colour classes
 #
 # Qubits that share no edge do not see each other's block, so updating a whole
-# independent set at once is still an exact block maximization. Both ascents
-# sweep over greedy colour classes; per class, the couplings of every member
-# (in every restart, for the product search) come out of one matmul with the
-# class's rows of the dense coupling A.
+# independent set at once is the same as updating its qubits one by one. Both
+# ascents sweep over greedy colour classes; per class, the couplings of every
+# member (in every restart, for the product search) come out of one matmul
+# with the class's rows of the dense coupling A.
 
 
 def colour_classes(n, ei, ej, wc):
@@ -72,7 +72,9 @@ def colour_classes(n, ei, ej, wc):
     flat = np.concatenate([ei * n + ej, ej * n + ei])
     # one bincount: column k fills bins k n^2 .. (k + 1) n^2 - 1, each in edge order
     bins = (np.arange(K)[:, None] * (n * n) + flat).ravel()
-    A = np.bincount(bins, -np.concatenate([wc, wc]).T.ravel(), K * n * n).reshape(K, n, n)
+    # an empty bincount is int64 whatever its weights; A is float64 in every case
+    A = np.bincount(bins, -np.concatenate([wc, wc]).T.ravel(), K * n * n).astype(float, copy=False)
+    A = A.reshape(K, n, n)
     adj = np.zeros((n, n), dtype=bool)
     adj[ei, ej] = adj[ej, ei] = True
     colour = np.full(n, -1)
@@ -89,15 +91,31 @@ def colour_classes(n, ei, ej, wc):
 # One class update of either ascent (the mixing method's block step; Wang,
 # Chang & Kolter 2017, arXiv:1706.00476). A qubit whose coupling is zero (in
 # one restart of the search, or one block of the relaxation) keeps its vector.
+#
+# Over-relaxed, the step moves past the block optimum c^ = c / |c|: u <-
+# normalise((1 + theta) c^ - theta u), the over-relaxation of Heisenberg-spin
+# sweeps (Creutz 1987, Phys. Rev. D 36, 515), computed as normalise(c - beta u)
+# with beta = theta |c| / (1 + theta). It is still an ascent for 0 <= theta <
+# 1: with w = (1 + theta) c^ - theta u and u' = w / |w|, c^ = (|w| u' + theta
+# u) / (1 + theta), so c^.u' - c^.u = (|w| - theta)(1 - u.u') / (1 + theta) >=
+# 0, as |w| >= (1 + theta) - theta = 1 > theta. A class is an independent set,
+# so each member's term |c| c^.u rises on its own. A zero coupling gives c -
+# beta u = 0, and its vector stays.
 
 
-def set_normalised(W, I, c, axis):
-    """W[:, I] = c scaled to unit norm along `axis`; a zero vector keeps W's value.
+def set_normalised(W, I, c, axis, theta=0.0):
+    """W[:, I] = c, over-relaxed by theta against W[:, I], scaled to unit norm along `axis`.
 
-    c, a fresh coupling from the class's matmul, is overwritten.
+    A zero c keeps W's value. c, a fresh coupling from the class's matmul,
+    is overwritten.
     """
     nc = np.add.reduce(c * c, axis=axis, keepdims=True)
     np.sqrt(nc, out=nc)
+    if theta:
+        nc *= theta / (1.0 + theta)
+        c -= nc * W[:, I]
+        nc = np.add.reduce(c * c, axis=axis, keepdims=True)
+        np.sqrt(nc, out=nc)
     if np.minimum.reduce(nc, axis=None, initial=np.inf) > 0.0:
         c /= nc
         W[:, I] = c
@@ -112,7 +130,13 @@ def set_normalised(W, I, c, axis):
 # With the other rows fixed the objective is linear in row i, so the block
 # optimum is the normalized coupling row (A_k U)_i, the product search's
 # update normalized over columns instead of over axes. All K blocks of U
-# (K, n, p) sweep in lock-step: one matmul per colour class.
+# (K, n, p) sweep in lock-step: one matmul per colour class. The sweeps step
+# past that optimum, over-relaxed by OVER_RELAX, which shortens the slow
+# linear tail of the plain ascent several-fold; the sweep that ends at a bound
+# evaluation is the plain block optimum, so the bound is taken at a point one
+# exact sweep has settled. The product search keeps the plain step: on
+# ZZ-only couplings, which it settles in a few sweeps, the over-relaxed step
+# takes several times as many.
 #
 # Dual bound per block: lam_i = 1/2 u_i . (A_k U)_i makes sum(lam) the block's
 # objective, and S_k = diag(lam) - A_k / 2 gives every feasible Y
@@ -123,6 +147,8 @@ def set_normalised(W, I, c, axis):
 # most gap_tol.
 
 BOUND_EVERY = 10
+# theta of every sweep that ends at no bound evaluation; 0 <= OVER_RELAX < 1
+OVER_RELAX = 0.65
 
 
 def rank_bound(U, A, mult, wsum):
@@ -146,10 +172,12 @@ def rank_sweeps(U, A, classes, mult, wsum, max_sweeps, gap_tol):
     monotone = True
     sweeps = 0
     while True:
-        for I, AI in classes:
-            set_normalised(U, I, AI @ U, 2)  # coupling rows (K, |I|, p)
         sweeps += 1
-        if sweeps % BOUND_EVERY and sweeps < max_sweeps:
+        plain = sweeps % BOUND_EVERY == 0 or sweeps >= max_sweeps
+        theta = 0.0 if plain else OVER_RELAX
+        for I, AI in classes:
+            set_normalised(U, I, AI @ U, 2, theta)  # coupling rows (K, |I|, p)
+        if not plain:
             continue
         new, bound = rank_bound(U, A, mult, wsum)
         monotone &= new >= value - 1e-8 * (1.0 + abs(value))

@@ -13,7 +13,9 @@ Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
 ceil(sqrt(2n)) + 1), above which the landscape has no spurious
 second-order points (Boumal, Voroninski & Bandeira 2016, arXiv:1606.04970).
 The blocks ascend in lock-step (_kernels.rank_sweeps) from unit rows
-drawn from rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt). Their dual
+drawn from rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt), by
+over-relaxed block steps (_kernels.OVER_RELAX) that never lower the
+objective, with a plain block step before each bound evaluation. Their dual
 bound (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or
 not the ascent converged: "converged" means (bound - value) / max(1,
 |value|) <= GAP_TOLERANCE, and only an attempt capped at MAX_SWEEPS starts

@@ -80,13 +80,20 @@ def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
 
 
 def relaxation_sweeps(inst, k, U, sweeps):
-    """Rows U (n, p) of axis k after `sweeps` per-qubit sweeps on that axis."""
+    """Rows U (n, p) of axis k after `sweeps` per-qubit sweeps on that axis.
+
+    Each sweep but every BOUND_EVERY-th and the last is over-relaxed, u <-
+    normalise((1 + theta) c / |c| - theta u) with theta = OVER_RELAX; those
+    two set u = c / |c|.
+    """
     order = _class_order(inst)
-    for _ in range(sweeps):
+    for s in range(1, sweeps + 1):
+        theta = 0.0 if s % _kernels.BOUND_EVERY == 0 or s == sweeps else _kernels.OVER_RELAX
         for i in order:
             c = -sum((U[j] * coef[k] for j, coef in _neighbours(inst, i)), np.zeros(U.shape[1]))
             if c.any():
-                U[i] = c / np.linalg.norm(c)
+                w = (1.0 + theta) * c / np.linalg.norm(c) - theta * U[i]
+                U[i] = w / np.linalg.norm(w)
     return U
 
 
@@ -314,6 +321,43 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
         assert not np.array_equal(W[:, i, r], start[:, i, r])
     assert np.allclose(np.linalg.norm(W, axis=0), 1.0)
 
+
+
+def test_over_relaxed_class_step_never_lowers_the_objective(rng):
+    # one class step at the shipped theta against 1/2 <A_k, U_k U_k^T>, block
+    # by block, from random rows, and with one qubit's coupling exactly zero
+    theta = _kernels.OVER_RELAX
+    assert 0.0 <= theta < 1.0
+
+    def objective(A, U):
+        return 0.5 * np.einsum("kij,kip,kjp->k", A, U, U)
+
+    cases = []
+    for style in ("arbitrary", "family", "corner"):
+        for _ in range(3):
+            inst = random_instance(rng, n=int(rng.integers(3, 10)), coeffs=style)
+            keys, _, A, classes, _ = kernel_args(inst)
+            cases.append((A, classes, unit_rows(rng, (len(keys), inst.n, 4))))
+    # _STAR with block 1's qubit 0 between opposite rows: its coupling is zero
+    keys, _, A, classes, _ = kernel_args(_STAR)
+    U = unit_rows(rng, (len(keys), 4, 3))
+    U[1, 2] = -U[1, 1]
+    cases.append((A, classes, U))
+    zeros = 0
+    for A, classes, U in cases:
+        for _ in range(4):
+            for I, AI in classes:
+                c = AI @ U
+                zero = ~c.any(axis=2)
+                zeros += zero.sum()
+                start = U[:, I].copy()
+                before = objective(A, U)
+                _kernels.set_normalised(U, I, c, 2, theta)
+                after = objective(A, U)
+                assert (after >= before - 1e-12 * (1.0 + np.abs(before))).all()
+                assert np.array_equal(U[:, I][zero], start[zero])
+                assert np.allclose(np.linalg.norm(U[:, I], axis=2), 1.0)
+    assert zeros
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,19 @@ def test_incidence_of_listed_axes_matches_the_full_build(rng):
                 assert np.array_equal(AJ, AI[axes])
 
 
+@pytest.mark.parametrize(
+    "edges, axes",
+    [((), (0, 1, 2)), ((Edge(0, 1, 1.0, 1, 1, 1),), [])],
+    ids=["edgeless", "no-axes"],
+)
+def test_incidence_is_float64_with_no_entries(edges, axes):
+    # an empty bincount comes out int64; the coupling and its slices must not
+    A, classes = Instance(n=3, edges=edges).incidence(axes)
+    assert A.dtype == np.float64 and A.shape == (len(axes), 3, 3)
+    assert not A.any()
+    assert all(AI.dtype == np.float64 for _, AI in classes)
+
+
 def test_arrays_are_built_once_and_read_only():
     inst = Instance(n=3, edges=(Edge(0, 2, 2.0, 1.0, 0.5, -1.0), Edge(1, 2, 3.0, 0, 0, 1)))
     first, again = inst.arrays(), inst.arrays()
