@@ -10,10 +10,12 @@ Shared array conventions:
        axis coupling, at rank p
   W    (3, n, R) float64, the product search's state, updated in place:
        W[:, i, r] is restart r's Bloch vector for qubit i
-  B    (..., n, 3) float64 Bloch vectors, product_energy_kernel's input
+  B    (..., n, d) float64 Bloch components on d axes, product_energy_kernel's
+       input: d = 3 for a whole state, or the r axes a rounding scheme draws
   ei, ej (m,) int64 edge endpoints, ei < ej; wc3 (m, 3) float64,
        wc3[e, k] = w_e * coeff_k(e)   (coeff = alpha, beta, gamma);
        the edge table of instance.Instance.arrays
+  wc   (m, d) float64 edge columns of B's axes, wc3[:, axes]
   A    (K, n, n) float64 dense coupling of K axes (colour_classes): the
        relaxation's K blocks, or all three axes for the product search;
        A[b, i, j] = A[b, j, i] = sum of -wc3[e, axes[b]] over edges (i, j)
@@ -31,22 +33,22 @@ import numpy as np
 # ---------------------------------------------------------------- objectives
 
 
-def product_energy_kernel(B, ei, ej, wc3, wsum):
-    """Energy of Bloch vectors B (..., n, 3): one value per leading index.
+def product_energy_kernel(B, ei, ej, wc, wsum):
+    """Energy of Bloch components B (..., n, d) on edge columns wc (m, d): one value per leading index.
 
-    Each state's edge terms are summed as one contiguous row, so a state's
-    energy does not depend on where it sits in a batch or on the batch size.
+    Axes left out of B and wc add nothing: a state that is zero off them
+    scores the same as on all three. Each state's edge terms are summed as
+    one contiguous row, so a state's energy does not depend on where it sits
+    in a batch or on the batch size.
     """
-    lead = B.shape[:-2]
-    if ei.shape[0] == 0:
-        return np.full(lead, wsum)
-    # gather scalars from the flattened (..., 3n) rows: faster than gathering
-    # (n, 3) rows, and the product comes out C-contiguous, (..., 3m)
+    lead, d = B.shape[:-2], B.shape[-1]
+    # gather scalars from the flattened (..., dn) rows: faster than gathering
+    # (n, d) rows, and the product comes out C-contiguous, (..., dm)
     F = B.reshape(lead + (-1,))
-    k = np.arange(3)
-    P = np.take(F, (3 * ei[:, None] + k).ravel(), axis=-1)
-    P *= np.take(F, (3 * ej[:, None] + k).ravel(), axis=-1)
-    P *= wc3.ravel()
+    k = np.arange(d)
+    P = np.take(F, (d * ei[:, None] + k).ravel(), axis=-1)
+    P *= np.take(F, (d * ej[:, None] + k).ravel(), axis=-1)
+    P *= wc.ravel()
     return wsum - P.sum(axis=-1)
 
 

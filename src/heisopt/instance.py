@@ -319,11 +319,12 @@ def generate(kind: str, seed: int = 0, **params) -> Instance:
         _reject_params(kind, params)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        # one draw per row: the same doubles, in the same order, as one
+        # scalar draw per pair
         pairs = [
-            (i, j)
+            (i, i + 1 + j)
             for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
+            for j in np.flatnonzero(rng.random(n - 1 - i) < p).tolist()
         ]
     else:
         raise ValueError(f"unknown kind {kind!r}")

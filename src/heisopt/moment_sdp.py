@@ -181,15 +181,10 @@ def sdp_objective(inst: Instance, sol: MomentSolution) -> float:
 
 
 def check_feasibility(sol: MomentSolution) -> FeasibilityReport:
-    """Max deviations from unit norms and intra-qubit orthogonality."""
-    V = sol.vectors
-    norms = np.linalg.norm(V, axis=2)
-    norm_dev = float(np.abs(norms - 1.0).max(initial=0.0))
-    orth_dev = 0.0
-    for k in range(3):
-        for l in range(k + 1, 3):
-            dots = np.einsum("id,id->i", V[:, k, :], V[:, l, :])
-            orth_dev = max(orth_dev, float(np.abs(dots).max(initial=0.0)))
+    """Max deviations from unit norms and intra-qubit orthogonality, from each qubit's Gram matrix."""
+    G = np.einsum("ikd,ild->ikl", sol.vectors, sol.vectors)
+    norm_dev = float(np.abs(np.sqrt(np.diagonal(G, axis1=1, axis2=2)) - 1.0).max(initial=0.0))
+    orth_dev = float(np.abs(G[:, [0, 0, 1], [1, 2, 2]]).max(initial=0.0))
     return FeasibilityReport(
         max_norm_deviation=norm_dev,
         max_orthogonality_deviation=orth_dev,

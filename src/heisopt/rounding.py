@@ -26,13 +26,16 @@ after its first draw. Both rounders refuse an infeasible point
 (check_feasibility) before drawing anything.
 
 Trials run in blocks. A block stacks its trials' draws, projects them with
-one matmul (R @ X^T), normalizes once and scores its trials with the
-product-energy kernel, which sums each trial's edge terms in the same order
-wherever the trial sits. A block holds as many trials as fit _BLOCK_BYTES
-of both its draws, (b, r, r*d) float64, and its edge terms, (b, 3m), and
-is scored in one kernel call; its size depends on the graph only. Rounding
-runs in one thread: the work is numpy calls that hold the interpreter
-lock, and a thread pool over blocks measured slower.
+one matmul (R @ X^T) and normalizes in place. A rounded state is zero off
+the r drawn axes, so the product-energy kernel scores the block's (b, n, r)
+components against wc3[:, axes], r*m edge terms per trial, summed in the
+same order wherever the trial sits; only the best trial is spread into an
+(n, 3) state. A block holds as many trials as fit _BLOCK_BYTES of both its
+draws, (b, r, r*d) float64, and 3m edge terms per trial (budgeting r*m
+made axis blocks larger, raising peak memory with no faster pass), so its
+size depends on the graph only. Rounding runs in one thread: the work is
+numpy calls that hold the interpreter lock, and a thread pool over blocks
+measured slower.
 
 The Caratheodory splitter rewrites arbitrary coefficients in
 [-1,1] as convex mixtures of the 4 nested corner patterns; applied
@@ -145,19 +148,6 @@ def projection_family(inst: Instance) -> FamilyTag:
     return tag
 
 
-def _check_solution(inst: Instance, sol: MomentSolution) -> None:
-    """Refuse a point of the wrong size or an infeasible one.
-
-    A zero Gram vector, say, projects to zero in every trial, so projection
-    rounding would redraw forever.
-    """
-    if sol.n != inst.n:
-        raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
-    rep = check_feasibility(sol)
-    if not rep.passed:
-        raise ValueError(f"solution is not feasible: {rep}")
-
-
 def _block_trials(draw: int, m: int) -> int:
     """Trials per block: as many draws of `draw` floats, and 3m edge terms, as fit the budget."""
     return max(1, _BLOCK_BYTES // (8 * max(draw, 3 * m)))
@@ -166,20 +156,32 @@ def _block_trials(draw: int, m: int) -> int:
 def _project(inst, sol, trials, seed, axes):
     """Round `trials` projections onto `axes` (a list) block by block; keep the best.
 
+    Refuses a trial count below one, and a point of the wrong size or an
+    infeasible one: a zero Gram vector, say, projects to zero in every
+    trial, so the trial would redraw forever.
+
     Trial t draws R_t ~ N(0,1)^{r x r*d}, r = len(axes), from rng_for(seed,
     DOMAIN_ROUNDING, t) and projects every qubit's row of X (n, r*d):
     Y_t = R_t X^T. One matmul covers a whole block.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if sol.n != inst.n:
+        raise ValueError(f"solution has n={sol.n}, instance has n={inst.n}")
+    rep = check_feasibility(sol)
+    if not rep.passed:
+        raise ValueError(f"solution is not feasible: {rep}")
     n, r = inst.n, len(axes)
     # x_i: the Gram vectors on `axes` concatenated in axis order, norm sqrt(r) -> 1
     X = sol.vectors[:, axes].reshape(n, -1) / np.sqrt(r)
     ei, ej, _, wc3 = inst.arrays()
+    wc = wc3[:, axes]
     ident = inst.identity_coeff
     shape = (r, X.shape[1])
     size = _block_trials(r * X.shape[1], inst.m)
     at = trial_streams(seed, DOMAIN_ROUNDING)
     energies = np.empty(trials)
-    best_energy, best_bloch = -np.inf, None
+    best_energy, best = -np.inf, None
     for t0 in range(0, trials, size):
         b = min(size, trials - t0)
         G = np.empty((b,) + shape)
@@ -196,16 +198,17 @@ def _project(inst, sol, trials, seed, axes):
             while (norms[k] < 1e-300).any():
                 Y[k] = rng.standard_normal(shape) @ X.T
                 norms[k] = np.linalg.norm(Y[k], axis=0)
-        bloch = np.zeros((b, n, 3))
-        bloch[:, :, axes] = (Y / norms[:, None, :]).transpose(0, 2, 1)
+        Y /= norms[:, None, :]
         e = energies[t0 : t0 + b]
-        e[:] = product_energy_kernel(bloch, ei, ej, wc3, ident)
+        e[:] = product_energy_kernel(Y.transpose(0, 2, 1), ei, ej, wc, ident)
         k = int(np.argmax(e))
         if e[k] > best_energy:  # strict: an earlier block keeps a tie
-            best_energy, best_bloch = e[k], bloch[k].copy()
+            best_energy, best = e[k], Y[k].T.copy()
+    bloch = np.zeros((n, 3))
+    bloch[:, axes] = best
     energies.flags.writeable = False
     return RoundingOutcome(
-        state=ProductState(bloch=best_bloch),
+        state=ProductState(bloch=bloch),
         energy=float(energies.max()),
         trials_run=trials,
         trial_energies=energies,
@@ -224,11 +227,7 @@ def bfv_round(
 
     `threads` is accepted and ignored.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    tag = projection_family(inst)
-    _check_solution(inst, sol)
-    return _project(inst, sol, trials, seed, list(tag.active_axes))
+    return _project(inst, sol, trials, seed, list(projection_family(inst).active_axes))
 
 
 def gw_axis_round(
@@ -242,15 +241,13 @@ def gw_axis_round(
 
     `threads` is accepted and ignored.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    _check_solution(inst, sol)
     # Axis score: what the objective's coupling part contributes on axis a.
     wc3, dots = inst.arrays()[3], axis_dots(inst, sol)
     scores = np.array([-float(wc3[:, a] @ dots[:, a]) for a in range(3)])
     # Axes that share a relaxation block score the same in exact arithmetic
     # but not always in floating point, so scores within a relative 1e-12 of
-    # the best tie and the lowest index wins.
+    # the best tie and the lowest index wins. A non-finite point ties no
+    # axis, so argmax falls to axis 0 and _project refuses the point.
     best = scores.max()
-    a_star = int(np.flatnonzero(scores >= best - 1e-12 * abs(best))[0])
+    a_star = int(np.argmax(scores >= best - 1e-12 * abs(best)))
     return _project(inst, sol, trials, seed, [a_star])

@@ -6,10 +6,12 @@ from heisopt import (
     Instance,
     ParseError,
     generate,
+    instance,
     is_family_uniform,
     parse_instance,
     serialize_instance,
 )
+from heisopt._backend import DOMAIN_GENERATE, rng_for
 
 
 def test_edge_validation():
@@ -225,3 +227,18 @@ def test_generate_uniform_weights_in_range():
     ws = [e.w for e in inst.edges]
     assert all(0.1 <= w <= 1.0 for w in ws)
     assert len(set(ws)) > 1
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, weights",
+    [(7, 0.5, 11, "unit"), (40, 0.3, 3, "uniform"), (60, 0.0, 2, "uniform"), (30, 1.0, 5, "uniform"), (300, 0.04, 0, "unit")],
+)
+def test_random_gnp_matches_one_draw_per_pair(n, p, seed, weights):
+    # the reference draws one scalar per pair, in row order, then the weights
+    rng = rng_for(seed, DOMAIN_GENERATE, 0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    ws = instance._weights(rng, len(pairs), weights)
+    got = generate("random_gnp", seed=seed, n=n, p=p, weights=weights)
+    assert got.edges == tuple(Edge(i, j, float(w), 1, 1, 1) for (i, j), w in zip(pairs, ws))
+    if p in (0.0, 1.0):
+        assert got.m == p * n * (n - 1) // 2

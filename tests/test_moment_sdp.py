@@ -79,6 +79,19 @@ def test_solution_feasible_always(rng):
         assert rep.passed, (rep.max_norm_deviation, rep.max_orthogonality_deviation)
 
 
+def test_feasibility_report_matches_pairwise_reference(rng):
+    # perturbed triads: the Gram-matrix report against one pass per norm and pair
+    for scale in (1e-3, 1e-10):
+        V = solve_moment_sdp(random_instance(rng, n=6)).vectors.copy()
+        V += scale * rng.standard_normal(V.shape)
+        rep = check_feasibility(MomentSolution(vectors=V, value=0.0))
+        norm_dev = np.abs(np.linalg.norm(V, axis=2) - 1.0).max()
+        orth_dev = max(np.abs(np.einsum("id,id->i", V[:, k], V[:, l])).max() for k, l in ((0, 1), (0, 2), (1, 2)))
+        assert rep.max_norm_deviation == pytest.approx(norm_dev, rel=0, abs=1e-14)
+        assert rep.max_orthogonality_deviation == pytest.approx(orth_dev, rel=0, abs=1e-14)
+        assert rep.passed == (scale < 1e-8)
+
+
 def test_value_matches_objective_of_vectors(rng):
     for _ in range(10):
         inst = random_instance(rng)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_reference, product_density
+from conftest import dense_reference, product_density, random_instance
 
 from heisopt import (
     Edge,
@@ -20,6 +20,7 @@ from heisopt import (
     reduce_instance,
     su2_lift,
 )
+from heisopt import _kernels
 from heisopt.pauli import SX, SY, SZ, DenseHermitian
 
 
@@ -89,6 +90,31 @@ def test_product_energy_matches_density_trace(rng):
         H = build_dense(inst).entries
         want = float(np.real(np.trace(H @ product_density(bloch))))
         assert product_energy(inst, ps) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("axes", [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
+def test_product_energy_kernel_on_axis_subsets(rng, axes):
+    # components on `axes` score as the (n, 3) state that is zero off them
+    inst = random_instance(rng, n=9)
+    ei, ej, _, wc3 = inst.arrays()
+    B = rng.standard_normal((6, inst.n, len(axes)))
+    full = np.zeros((6, inst.n, 3))
+    full[..., axes] = B
+    want = _kernels.product_energy_kernel(full, ei, ej, wc3, inst.identity_coeff)
+    got = _kernels.product_energy_kernel(B, ei, ej, wc3[:, axes], inst.identity_coeff)
+    assert got.shape == (6,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for k in range(6):
+        one = _kernels.product_energy_kernel(B[k], ei, ej, wc3[:, axes], inst.identity_coeff)
+        assert one == pytest.approx(want[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_energy_kernel_with_no_edges_is_wsum(d):
+    none = np.empty(0, dtype=np.int64)
+    B = np.ones((4, 3, d))
+    assert _kernels.product_energy_kernel(B, none, none, np.empty((0, d)), 2.5).tolist() == [2.5] * 4
+    assert _kernels.product_energy_kernel(B[0], none, none, np.empty((0, d)), 2.5) == 2.5
 
 
 def test_product_energy_mixed_states_allowed():

@@ -15,6 +15,7 @@ from heisopt import (
     generate,
     gw_axis_round,
     is_family_uniform,
+    product_energy,
     rounding,
     solve_moment_sdp,
     split_instance,
@@ -455,12 +456,41 @@ def test_trial_mean_matches_closed_form_expectation(expectation_inputs, scheme, 
     assert abs(z) <= 4.0, z
 
 
+@pytest.mark.parametrize("family", [(1, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 1)])
+@pytest.mark.parametrize("scheme", ["bfv", "axis"])
+def test_outcome_is_the_best_state_on_the_drawn_axes(family, scheme):
+    # scored on r axes, the best trial's energy is its (n, 3) state's energy,
+    # and the state is a unit vector on the drawn axes and zero off them
+    rng = np.random.default_rng(21)
+    base = random_instance(rng, n=8, p=0.5)
+    inst = Instance(n=8, edges=tuple(Edge(e.i, e.j, e.w, *family) for e in base.edges))
+    sol = random_triads(8, rng)
+    axes = list(is_family_uniform(inst).active_axes) if scheme == "bfv" else [axis_star(inst, sol)]
+    out = ROUNDERS[scheme](inst, sol, trials=60, seed=3)
+    bloch = out.state.bloch
+    assert out.energy == pytest.approx(product_energy(inst, out.state), rel=1e-12)
+    assert np.all(np.delete(bloch, axes, axis=1) == 0.0)
+    assert np.allclose(np.linalg.norm(bloch, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_infeasible_solution_refused():
     # qubit 1's vectors all zero: every projection of qubit 1 is zero, so
     # projection rounding would redraw forever
     inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
     V = antipodal_solution(2).vectors.copy()
     V[1] = 0.0
+    sol = MomentSolution(vectors=V, value=0.0)
+    for rounder in (bfv_round, gw_axis_round):
+        with pytest.raises(ValueError, match="not feasible"):
+            rounder(inst, sol, trials=10)
+
+
+def test_non_finite_solution_refused():
+    # a NaN vector gives the axis scheme NaN scores; it must still refuse the
+    # point as infeasible rather than fail picking an axis
+    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+    V = antipodal_solution(2).vectors.copy()
+    V[1, 0, 0] = np.nan
     sol = MomentSolution(vectors=V, value=0.0)
     for rounder in (bfv_round, gw_axis_round):
         with pytest.raises(ValueError, match="not feasible"):
