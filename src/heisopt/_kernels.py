@@ -20,9 +20,10 @@ Shared array conventions:
        relaxation's K blocks, or all three axes for the product search;
        A[b, i, j] = A[b, j, i] = sum of -wc3[e, axes[b]] over edges (i, j)
 
-The couplings of a class I are one matmul, A[:, I] @ U or A[:, I] @ W. The
-relaxation stops on its dual gap (rank_bound); the product search stops
-all its restarts once none gains tol in a sweep.
+The couplings of a class I are one matmul, A[:, I] @ U or A[:, I] @ W, and
+one sweep driver (ascend) runs both ascents on one schedule; each caller
+owns its stop rule: the relaxation its dual gap (rank_bound), the product
+search the gain of its restarts' energies between checks.
 """
 
 from __future__ import annotations
@@ -125,32 +126,52 @@ def set_normalised(W, I, c, axis, theta=0.0):
         W[:, I] = np.where(nc > 0.0, c / np.where(nc > 0.0, nc, 1.0), W[:, I])
 
 
-# ------------------------------------------------------- SDP coordinate ascent
+# ----------------------------------------------------------- the sweep driver
 #
-# The relaxation is one Max-Cut-type SDP per distinct coupling A_k: maximize
+# Both ascents are block coordinate ascents over the colour classes. The
+# relaxation is one Max-Cut-type SDP per distinct coupling A_k: maximize
 # 1/2 <A_k, Y> over PSD Y with unit diagonal, Y = U U^T for unit rows U (n, p).
 # With the other rows fixed the objective is linear in row i, so the block
-# optimum is the normalized coupling row (A_k U)_i, the product search's
-# update normalized over columns instead of over axes. All K blocks of U
-# (K, n, p) sweep in lock-step: one matmul per colour class. The sweeps step
-# past that optimum, over-relaxed by OVER_RELAX, which shortens the slow
-# linear tail of the plain ascent several-fold; the sweep that ends at a bound
-# evaluation is the plain block optimum, so the bound is taken at a point one
-# exact sweep has settled. The product search keeps the plain step: on
-# ZZ-only couplings, which it settles in a few sweeps, the over-relaxed step
-# takes several times as many.
+# optimum is the normalized coupling row (A_k U)_i; all K blocks of U (K, n,
+# p) sweep in lock-step. The product search's energy is linear in each Bloch
+# vector the same way, so its block optimum is the normalized field, taken
+# over the axes instead of over the columns, every restart of W at once.
 #
-# Dual bound per block: lam_i = 1/2 u_i . (A_k U)_i makes sum(lam) the block's
-# objective, and S_k = diag(lam) - A_k / 2 gives every feasible Y
+# ascend runs both on one schedule. Its sweeps step past the block optimum,
+# over-relaxed by OVER_RELAX, which shortens the slow linear tail of the
+# plain ascent several-fold; every BOUND_EVERY-th sweep, and the one at
+# max_sweeps, is the plain block optimum, and the caller checks its stop rule
+# after it, at a point one exact sweep has settled. That plain sweep also
+# lets ZZ-only couplings, whose plain ascent lands on +-1 Bloch vectors in a
+# few sweeps, stop at the second check rather than keep moving.
+#
+# The relaxation's check is its dual bound per block: lam_i = 1/2 u_i .
+# (A_k U)_i makes sum(lam) the block's objective, and S_k = diag(lam) - A_k /
+# 2 gives every feasible Y
 # 1/2 <A_k, Y> = sum(lam) - <S_k, Y> <= sum(lam) + n max(0, -lambda_min(S_k)),
 # since tr Y = n. The bound meets the objective at an optimum (Boumal,
-# Voroninski & Bandeira 2016, arXiv:1606.04970). Every BOUND_EVERY sweeps, and
-# at max_sweeps, the ascent evaluates it and stops once the relative gap is at
-# most gap_tol.
+# Voroninski & Bandeira 2016, arXiv:1606.04970).
 
 BOUND_EVERY = 10
-# theta of every sweep that ends at no bound evaluation; 0 <= OVER_RELAX < 1
+# theta of every sweep that ends at no check; 0 <= OVER_RELAX < 1
 OVER_RELAX = 0.65
+
+
+def ascend(X, classes, axis, max_sweeps):
+    """Ascend X in place on classes [(I, A[:, I])]; yield the sweep count after each plain sweep.
+
+    X is the relaxation's U (K, n, p), normalised along axis 2, or the
+    search's W (3, n, R), along axis 0. The plain sweeps are every
+    BOUND_EVERY-th and the last, at max_sweeps; the caller checks its stop
+    rule at each yield and stops iterating once it holds.
+    """
+    for sweeps in range(1, max_sweeps + 1):
+        plain = sweeps % BOUND_EVERY == 0 or sweeps == max_sweeps
+        theta = 0.0 if plain else OVER_RELAX
+        for I, AI in classes:
+            set_normalised(X, I, AI @ X, axis, theta)
+        if plain:
+            yield sweeps
 
 
 def rank_bound(U, A, mult, wsum):
@@ -161,61 +182,6 @@ def rank_bound(U, A, mult, wsum):
     shift = n * np.maximum(0.0, -np.linalg.eigvalsh(S)[:, 0])
     blocks = lam.sum(axis=1)
     return wsum + float(mult @ blocks), wsum + float(mult @ (blocks + shift))
-
-
-def rank_sweeps(U, A, classes, mult, wsum, max_sweeps, gap_tol):
-    """Ascend unit rows U (K, n, p) in place on couplings A, classes [(I, A[:, I])].
-
-    Stops once (bound - value) / max(1, |value|) <= gap_tol, or at max_sweeps.
-    Returns (value, bound, sweeps, converged, monotone); monotone is False if
-    a bound evaluation saw the value fall.
-    """
-    value = -np.inf
-    monotone = True
-    sweeps = 0
-    while True:
-        sweeps += 1
-        plain = sweeps % BOUND_EVERY == 0 or sweeps >= max_sweeps
-        theta = 0.0 if plain else OVER_RELAX
-        for I, AI in classes:
-            set_normalised(U, I, AI @ U, 2, theta)  # coupling rows (K, |I|, p)
-        if not plain:
-            continue
-        new, bound = rank_bound(U, A, mult, wsum)
-        monotone &= new >= value - 1e-8 * (1.0 + abs(value))
-        value = new
-        converged = (bound - value) / max(1.0, abs(value)) <= gap_tol
-        if converged or sweeps >= max_sweeps:
-            return value, bound, sweeps, converged, monotone
-
-
-# ------------------------------------------------------ Bloch coordinate ascent
-#
-# Energy is linear in each Bloch vector with the others fixed, so the block
-# optimum is the normalized coefficient vector.
-
-
-def ascent_sweeps(W, A, classes, wsum, max_sweeps, tol):
-    """Ascend every restart, a column of W (3, n, R), in place.
-
-    All restarts sweep until none gains tol in a sweep, or max_sweeps.
-    Returns (energy per restart, sweeps, converged per restart): a restart
-    has converged if its last sweep gained less than tol.
-    """
-
-    def energies():
-        return wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)
-
-    energy = energies()
-    for sweeps in range(1, max_sweeps + 1):
-        for I, AI in classes:
-            set_normalised(W, I, AI @ W, 0)  # fields (3, |I|, R), over the axes
-        new = energies()
-        converged = new - energy < tol
-        energy = new
-        if converged.all():
-            break
-    return energy, sweeps, converged
 
 
 # ---------------------------------------------------- matrix-free Hamiltonian

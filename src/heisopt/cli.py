@@ -258,6 +258,8 @@ def _cmd_exact(args) -> int:
         "product_ratio": search.energy / exact.lambda_max if exact.lambda_max else None,
         "residual": exact.residual,
         "restarts_used": search.restarts_used,
+        "search_capped": search.capped,
+        "search_sweeps": search.sweeps,
     }
     _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK

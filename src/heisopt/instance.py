@@ -135,20 +135,22 @@ class Instance:
         """Edge table (ei, ej, w, wc3), read-only; wc3[e, k] = w_e * coeff_k(e)."""
         return self._table
 
-    def incidence(self, axes=(0, 1, 2)):
+    def incidence(self, axes=(0, 1, 2), held=0):
         """Coupling A (K, n, n) of the K listed axes, and colour classes, from _kernels.colour_classes.
 
         A[b, i, j] = A[b, j, i] sums -w_e * coeff_k(e), k = axes[b], over the
         edges e between i and j. Built anew on each call: A and its class
         slices hold 2Kn^2 floats, and a MemoryError refuses them before
-        anything is allocated if they exceed the memory the kernel reports
+        anything is allocated if they, plus the `held` bytes the caller
+        will allocate beside them, exceed the memory the kernel reports
         available.
         """
-        need = 2 * 8 * len(axes) * self.n**2
+        need = 2 * 8 * len(axes) * self.n**2 + held
         avail = _backend.available_bytes()
         if avail is not None and need > avail:
+            beside = f", with {held} bytes held beside it," if held else ""
             raise MemoryError(
-                f"the coupling at n={self.n} needs {need} bytes but only {avail} bytes are available"
+                f"the coupling at n={self.n}{beside} needs {need} bytes but only {avail} bytes are available"
             )
         ei, ej, _, wc3 = self._table
         return _kernels.colour_classes(self.n, ei, ej, wc3[:, axes])

@@ -12,15 +12,15 @@ adds 0, holds a fixed vector and has no coupling built.
 Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
 ceil(sqrt(2n)) + 1), above which the landscape has no spurious
 second-order points (Boumal, Voroninski & Bandeira 2016, arXiv:1606.04970).
-The blocks ascend in lock-step (_kernels.rank_sweeps) from unit rows
-drawn from rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt), by
-over-relaxed block steps (_kernels.OVER_RELAX) that never lower the
-objective, with a plain block step before each bound evaluation. Their dual
-bound (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or
-not the ascent converged: "converged" means (bound - value) / max(1,
-|value|) <= GAP_TOLERANCE, and only an attempt capped at MAX_SWEEPS starts
-another. The output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded
-(n, 3, 3n) layout, so each triad is orthonormal by construction.
+The blocks ascend in lock-step (_kernels.ascend) from unit rows drawn from
+rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt), by over-relaxed block
+steps (_kernels.OVER_RELAX) that never lower the objective, with a plain
+block step before each bound evaluation. Their dual bound
+(_kernels.rank_bound) caps the optimum, and so lambda_max, whether or not
+the ascent converged: "converged" means (bound - value) / max(1, |value|)
+<= GAP_TOLERANCE, and only an attempt capped at MAX_SWEEPS starts another.
+The output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded (n, 3, 3n)
+layout, so each triad is orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -124,26 +124,32 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     The best-valued attempt is returned with its own bound, which is valid
     whether or not it converged. A capped solve logs a warning on the
     "heisopt" logger. The K blocks' couplings come from
-    inst.incidence(keys), whose MemoryError refuses them before they are
-    built if they exceed the memory the kernel reports available.
+    inst.incidence(keys), whose MemoryError refuses them, and the solution
+    they lead to, before either is built if together they exceed the
+    memory the kernel reports available.
     """
     cfg = cfg or SolverConfig()
     n = inst.n
     wsum = float(inst.arrays()[2].sum())
     keys, block = _axis_blocks(inst.arrays()[3])
     mult = np.bincount([b for b in block if b >= 0], minlength=len(keys)).astype(float)
-    A, classes = inst.incidence(keys)
+    # the (n, 3, 3n) solution below, 72n^2 bytes, is counted by the same guard
+    A, classes = inst.incidence(keys, held=72 * n * n)
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 
     best = None
     total = capped = 0
     for a in range(cfg.restarts):
         U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, a), (len(keys), n, p))
-        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(
-            U, A, classes, mult, wsum, MAX_SWEEPS, GAP_TOLERANCE
-        )
-        if not monotone:
-            raise RuntimeError("sweep objective decreased; ascent invariant violated")
+        value = -np.inf
+        for sweeps in _kernels.ascend(U, classes, 2, MAX_SWEEPS):
+            new, bound = _kernels.rank_bound(U, A, mult, wsum)
+            if new < value - 1e-8 * (1.0 + abs(value)):
+                raise RuntimeError("sweep objective decreased; ascent invariant violated")
+            value = new
+            converged = (bound - value) / max(1.0, abs(value)) <= GAP_TOLERANCE
+            if converged:
+                break
         total += sweeps
         if best is None or value > best[1]:
             best = (U, value, bound, converged)

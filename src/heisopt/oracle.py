@@ -33,7 +33,8 @@ the reference point that an oracle pipeline reports. Its restarts are the
 columns of one array (W of shape (3, n, R)), each from its own Philox
 stream (trial_streams); they sweep together and stop together. A sweep
 sets the Bloch vectors one greedy colour class at a time (qubits that
-share no edge), every restart at once with one matmul per class.
+share no edge), every restart at once with one matmul per class, on the
+relaxation's schedule (_kernels.ascend).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ _TOL = 1e-10
 # the Ritz vector once the estimate is at most _ESTIMATE_MARGIN x the tolerance
 _CHECK_EVERY = 5
 _ESTIMATE_MARGIN = 0.1
-# the product search stops once no restart gains this much in a full sweep,
-# or after this many sweeps
+# the product search stops once no restart gains this much between two
+# checks, or after this many sweeps
 _ASCENT_TOL = 1e-12
 _MAX_SWEEPS = 10000
 
@@ -188,13 +189,13 @@ def best_product_state(
 ) -> ProductSearchResult:
     """Coordinate ascent over Bloch vectors, best of `restarts` random starts.
 
-    Each sweep sets every Bloch vector to the normalized local field
-    c_i = sum over edges at i of -w * coeffs * r_other, which cannot lower
-    the energy, one colour class of qubits at a time. All restarts sweep as
-    one batch until no restart gains _ASCENT_TOL in a full pass, or at
-    _MAX_SWEEPS. `sweeps` is restarts x batch sweeps and `capped` counts the
-    restarts whose last pass at _MAX_SWEEPS still gained _ASCENT_TOL; a cap
-    also logs a warning on the "heisopt" logger.
+    Each sweep moves every Bloch vector to, or over-relaxed past, the
+    normalized local field c_i = sum over edges at i of -w * coeffs *
+    r_other, one colour class of qubits at a time (_kernels.ascend). All
+    restarts sweep as one batch until no restart gains _ASCENT_TOL between
+    two checks, or at _MAX_SWEEPS. `sweeps` is restarts x batch sweeps and
+    `capped` counts the restarts whose last check still gained
+    _ASCENT_TOL; a cap also logs a warning on the "heisopt" logger.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -205,10 +206,15 @@ def best_product_state(
     W = np.empty((3, inst.n, restarts))
     for k in range(restarts):
         W[:, :, k] = unit_rows(at(k), (inst.n, 3)).T
-    ident = inst.identity_coeff
-    energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, ident, _MAX_SWEEPS, _ASCENT_TOL)
+    energy = np.full(restarts, -np.inf)
+    for sweeps in _kernels.ascend(W, classes, 0, _MAX_SWEEPS):
+        new = inst.identity_coeff + 0.5 * np.einsum("knr,knr->r", W, A @ W)
+        gained = new - energy >= _ASCENT_TOL
+        energy = new
+        if not gained.any():
+            break
     best = int(np.argmax(energy))
-    capped = int(restarts - converged.sum())
+    capped = int(gained.sum())
     if capped:
         log.warning(
             "product search: %d of %d restarts stopped at max_sweeps=%d",

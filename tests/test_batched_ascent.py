@@ -1,12 +1,13 @@
 """The colour-batched ascents against plain per-qubit loops.
 
-The product-search reference runs one restart at a time: for the batch's
-sweep count, to compare every restart with its own independent run, and
-with its own stop rule, which the batch, stopping all restarts together,
-can only improve on. The relaxation reference runs a fixed number of
-sweeps, one axis block at a time. Both update one qubit at a time, in the
-kernels' colour-class order: a class shares no edge, so updating its
-qubits one by one reaches the same point as the kernels' batched update.
+The product-search references run one restart at a time: on the kernels'
+schedule for the batch's sweep count, to compare every restart with its own
+independent run, and with the plain step to its own stop, which the batch,
+stopping all restarts together, should match. The relaxation reference runs
+a fixed number of sweeps on the kernels' schedule, one axis block at a
+time. All update one qubit at a time, in the kernels' colour-class order: a
+class shares no edge, so updating its qubits one by one reaches the same
+point as the kernels' batched update.
 """
 
 import logging
@@ -63,8 +64,20 @@ def _relaxation_value(inst, V):
     ) + inst.offset
 
 
+def schedule(sweeps):
+    """theta of each of `sweeps` sweeps: the plain step (0) on every BOUND_EVERY-th and the last."""
+    return [0.0 if s % _kernels.BOUND_EVERY == 0 or s == sweeps else _kernels.OVER_RELAX
+            for s in range(1, sweeps + 1)]
+
+
+def over_relaxed(c, u, theta):
+    """normalise((1 + theta) c / |c| - theta u)."""
+    w = (1.0 + theta) * c / np.linalg.norm(c) - theta * u
+    return w / np.linalg.norm(w)
+
+
 def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
-    """(energy, sweeps, last gain); stops once a sweep gains less than tol."""
+    """(energy, sweeps, last gain) of the plain step; stops once a sweep gains less than tol."""
     energy = _product_energy(inst, B)
     order = _class_order(inst)
     for sweeps in range(1, max_sweeps + 1):
@@ -79,21 +92,28 @@ def one_restart_ascent(inst, B, max_sweeps=10000, tol=1e-12):
     return energy, sweeps, gain
 
 
-def relaxation_sweeps(inst, k, U, sweeps):
-    """Rows U (n, p) of axis k after `sweeps` per-qubit sweeps on that axis.
-
-    Each sweep but every BOUND_EVERY-th and the last is over-relaxed, u <-
-    normalise((1 + theta) c / |c| - theta u) with theta = OVER_RELAX; those
-    two set u = c / |c|.
-    """
+def scheduled_ascent(inst, B, sweeps):
+    """(energy, gain since the previous plain sweep) after `sweeps` sweeps on the kernels' schedule."""
     order = _class_order(inst)
-    for s in range(1, sweeps + 1):
-        theta = 0.0 if s % _kernels.BOUND_EVERY == 0 or s == sweeps else _kernels.OVER_RELAX
+    energy = checked = -np.inf
+    for theta in schedule(sweeps):
+        for i in order:
+            c = -sum((coef * B[j] for j, coef in _neighbours(inst, i)), np.zeros(3))
+            if c.any():
+                B[i] = over_relaxed(c, B[i], theta)
+        if theta == 0.0:
+            checked, energy = energy, _product_energy(inst, B)
+    return energy, energy - checked
+
+
+def relaxation_sweeps(inst, k, U, sweeps):
+    """Rows U (n, p) of axis k after `sweeps` per-qubit sweeps on that axis, on the kernels' schedule."""
+    order = _class_order(inst)
+    for theta in schedule(sweeps):
         for i in order:
             c = -sum((U[j] * coef[k] for j, coef in _neighbours(inst, i)), np.zeros(U.shape[1]))
             if c.any():
-                w = (1.0 + theta) * c / np.linalg.norm(c) - theta * U[i]
-                U[i] = w / np.linalg.norm(w)
+                U[i] = over_relaxed(c, U[i], theta)
     return U
 
 
@@ -131,15 +151,21 @@ def test_product_search_matches_one_restart_loop(rng):
         restarts, seed = 6, int(rng.integers(100))
         own_stop = [one_restart_ascent(inst, B) for B in product_starts(inst, restarts, seed)]
 
-        # restart k is column k of W (3, n, R)
+        # restart k is column k of W (3, n, R); the batch stops as the search does
         W = np.stack(product_starts(inst, restarts, seed), axis=2).transpose(1, 0, 2).copy()
         A, classes = inst.incidence()
         wsum = inst.identity_coeff
-        energy, sweeps, converged = _kernels.ascent_sweeps(W, A, classes, wsum, 10000, 1e-12)
+        energy = np.full(restarts, -np.inf)
+        for sweeps in _kernels.ascend(W, classes, 0, 10000):
+            new = wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)
+            converged = new - energy < 1e-12
+            energy = new
+            if converged.all():
+                break
         assert converged.all()
         for k, B in enumerate(product_starts(inst, restarts, seed)):
-            # restart k run alone for the batch's sweep count
-            ref_energy, _, last_gain = one_restart_ascent(inst, B, sweeps, -np.inf)
+            # restart k run alone for the batch's sweep count, on its schedule
+            ref_energy, last_gain = scheduled_ascent(inst, B, sweeps)
             assert last_gain < 1e-12
             assert energy[k] == pytest.approx(ref_energy, rel=1e-9, abs=1e-9)
             # sweeping on past its own stop cannot lower a restart's energy
@@ -158,11 +184,11 @@ def test_product_search_starts_match_per_restart_draws_bitwise(rng, monkeypatch)
     # the unit rows of a generator built anew by rng_for for that restart
     starts = []
 
-    def capture(W, *args, _sweeps=_kernels.ascent_sweeps):
+    def capture(W, *args, _ascend=_kernels.ascend):
         starts.append(W.copy())
-        return _sweeps(W, *args)
+        return _ascend(W, *args)
 
-    monkeypatch.setattr(_kernels, "ascent_sweeps", capture)
+    monkeypatch.setattr(_kernels, "ascend", capture)
     for n, restarts, seed in ((3, 1, 0), (9, 7, 3), (40, 50, 11)):
         inst = random_instance(rng, n=n)
         starts.clear()
@@ -171,9 +197,52 @@ def test_product_search_starts_match_per_restart_draws_bitwise(rng, monkeypatch)
         assert np.array_equal(starts[0], expect)
 
 
+def test_product_search_energy_never_falls_between_checks(rng, monkeypatch):
+    # every restart's energy, read from its Bloch vectors at the start and at
+    # each check of the search's own run
+    states = []
+
+    def record(W, *args, _ascend=_kernels.ascend):
+        states.append(W.copy())
+        for sweeps in _ascend(W, *args):
+            states.append(W.copy())
+            yield sweeps
+
+    monkeypatch.setattr(_kernels, "ascend", record)
+    for style in ("arbitrary", "family", "corner", "zz"):
+        for _ in range(3):
+            inst = random_instance(rng, n=int(rng.integers(3, 10)), coeffs=style)
+            states.clear()
+            best_product_state(inst, restarts=5, seed=int(rng.integers(100)))
+            E = np.array([[_product_energy(inst, W[:, :, r].T) for r in range(5)] for W in states])
+            assert len(E) >= 3
+            assert (E[1:] >= E[:-1] - 1e-12 * (1.0 + np.abs(E[:-1]))).all()
+
+
+def test_product_search_matches_plain_loop_on_criterion_4_families(rng):
+    # the shared schedule ends where the plain step, run to its own stop per
+    # restart, ends: the best energies agree within 1e-9
+    for k in range(12):
+        style = ("family", "corner", "arbitrary")[k % 3]
+        inst = random_instance(rng, n=int(rng.integers(2, 11)), coeffs=style)
+        ref = max(one_restart_ascent(inst, B)[0] for B in product_starts(inst, 4, k))
+        assert abs(best_product_state(inst, restarts=4, seed=k).energy - ref) <= 1e-9, k
+
+
+def test_zz_only_search_stops_at_its_second_check(rng):
+    # the plain sweep before each check puts every ZZ-only Bloch vector on
+    # +-z, where these instances have settled by the first check, so the
+    # second sees no gain; over-relaxed checks keep the vectors moving longer
+    for _ in range(4):
+        inst = random_instance(rng, n=int(rng.integers(4, 12)), coeffs="zz")
+        ps = best_product_state(inst, restarts=5, seed=int(rng.integers(100)))
+        assert ps.sweeps == 5 * 2 * _kernels.BOUND_EVERY
+        assert ps.capped == 0
+
+
 def test_relaxation_matches_one_restart_loop(rng):
-    # gap_tol = -inf keeps the kernel sweeping to max_sweeps, like the
-    # reference: once every S_k is PSD the gap is exactly 0
+    # the driver sweeps to max_sweeps, like the reference, with no stop rule;
+    # the value is read at each plain sweep, as the solver reads it
     for style in ("arbitrary", "family", "corner"):
         inst = random_instance(rng, n=int(rng.integers(3, 6)), coeffs=style)
         keys, block, A, classes, mult = kernel_args(inst)
@@ -181,9 +250,12 @@ def test_relaxation_matches_one_restart_loop(rng):
         ref = np.array([relaxation_sweeps(inst, k, U[b].copy(), 25) for b, k in enumerate(keys)])
 
         wsum = inst.identity_coeff
-        value, bound, sweeps, converged, monotone = _kernels.rank_sweeps(U, A, classes, mult, wsum, 25, -np.inf)
+        checks = [
+            (sweeps, *_kernels.rank_bound(U, A, mult, wsum)) for sweeps in _kernels.ascend(U, classes, 2, 25)
+        ]
+        sweeps, value, bound = checks[-1]
         assert sweeps == 25
-        assert monotone
+        assert all(b[1] >= a[1] - 1e-8 * (1.0 + abs(a[1])) for a, b in zip(checks, checks[1:]))
         assert np.allclose(U, ref, atol=1e-6)
         assert value == pytest.approx(_relaxation_value(inst, block_vectors(inst.n, block, ref)), rel=1e-9)
         assert bound >= value
@@ -296,7 +368,6 @@ _STAR = Instance(
 def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     A, classes = _STAR.incidence()
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
-    wsum = float(_STAR.arrays()[2].sum())
     keys, block, AK, rows, mult = kernel_args(_STAR)
     assert block == [0, 1, 0]
     for zero in (False, True):
@@ -304,7 +375,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
         if zero:
             U[1, 2] = -U[1, 1]  # block 1 (Y): qubit 0's coupling is zero
         start = U.copy()
-        _kernels.rank_sweeps(U, AK, rows, mult, wsum, 1, 1e-7)
+        assert list(_kernels.ascend(U, rows, 2, 1)) == [1]  # one plain sweep
         # qubit 0 moves unless its coupling in that block is zero; block 0
         # and qubit 3, in its class, move
         assert np.array_equal(U[1, 0], start[1, 0]) == zero
@@ -315,7 +386,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     W = np.stack(product_starts(_STAR, 3, 5), axis=2).transpose(1, 0, 2).copy()
     W[:, 2, 1] = -W[:, 1, 1]  # restart 1: qubit 0's field is zero
     start = W.copy()
-    _kernels.ascent_sweeps(W, A, classes, wsum, 1, 1e-12)
+    assert list(_kernels.ascend(W, classes, 0, 1)) == [1]
     assert np.array_equal(W[:, 0, 1], start[:, 0, 1])
     for r, i in ((0, 0), (2, 0), (1, 3)):
         assert not np.array_equal(W[:, i, r], start[:, i, r])

@@ -85,6 +85,23 @@ def test_exact_subcommand(tmp_path, cycle_file):
     assert payload["best_product_energy"] <= payload["lambda_max"] + 1e-9
 
 
+def test_exact_reports_whether_its_search_hit_the_cap(tmp_path, cycle_file, monkeypatch):
+    from heisopt import oracle
+
+    out = tmp_path / "exact.json"
+    args = ["exact", cycle_file, "--restarts", "4", "--out", str(out)]
+    assert main(args) == 0
+    payload = json.loads(out.read_text())
+    assert payload["search_capped"] == 0
+    assert payload["search_sweeps"] > 0 and payload["search_sweeps"] % 4 == 0
+    # one sweep per restart: every restart still gains at its only check
+    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
+    assert main(args) == 0
+    payload = json.loads(out.read_text())
+    assert payload["search_capped"] == payload["restarts_used"] == 4
+    assert payload["search_sweeps"] == 4
+
+
 def test_pipeline_report_fields(tmp_path, cycle_file):
     out = tmp_path / "report.json"
     rc = main(
@@ -200,7 +217,9 @@ def test_solve_exits_4_before_building_a_coupling_too_large_for_memory(tmp_path,
     assert main(["gen", "cycle", "--n", "300", "--out", str(inst)]) == 0
     calls = []
     monkeypatch.setattr(_kernels, "colour_classes", lambda *args: calls.append(1))
-    need = 2 * 8 * 300**2  # one XYZ block's A and its class slices: 2 n^2 doubles
+    # one XYZ block's A and its class slices, 2n^2 doubles, and the (n, 3, 3n)
+    # solution, 9n^2 doubles
+    need = 88 * 300**2
     monkeypatch.setattr(_backend, "available_bytes", lambda: need - 1)
     for cmd in ("solve", "pipeline"):
         assert main([cmd, str(inst), "--out", str(tmp_path / "out")]) == 4

@@ -30,12 +30,13 @@ def test_solver_refuses_blocks_too_large_for_memory(monkeypatch):
     from heisopt import _backend
 
     # one guard, in incidence(keys): the K distinct blocks' couplings and
-    # their class slices, 2Kn^2 doubles, on an XYZ, an XXZ and a mixed ring
+    # their class slices, 2Kn^2 doubles, plus the (n, 3, 3n) solution, 9n^2
+    # doubles, on an XYZ, an XXZ and a mixed ring
     n = 8
     ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     for coeffs, K in (((1, 1, 1), 1), ((1, 1, 0.5), 2), ((1, 0.5, 0.25), 3)):
         inst = Instance(n=n, edges=tuple(Edge(i, j, 1.0, *coeffs) for i, j in ring))
-        need = 16 * K * n**2
+        need = 16 * K * n**2 + 72 * n**2
         monkeypatch.setattr(_backend, "available_bytes", lambda: need - 1)
         with pytest.raises(MemoryError) as err:
             solve_moment_sdp(inst)
