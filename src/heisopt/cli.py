@@ -63,7 +63,6 @@ class RatioReport:
     certified_ratio: float
     trials: int
     seed: int
-    restarts: int
     solver_converged: bool
     lambda_max: float | None = None
     oracle_method: str | None = None
@@ -100,14 +99,16 @@ def run_pipeline(
     scheme: str = "bfv",
     trials: int = 100,
     seed: int = 0,
+    # accepts only 1; kept for perfbench/test_checks.py, and ROADMAP item 1 deletes it
     restarts: int = 1,
     oracle: bool = False,
 ) -> RatioReport:
     """Solve the relaxation, round it, optionally attach exact references.
 
-    An unknown scheme, trials < 1 and a bfv run on an instance that is not
-    family-uniform raise ValueError before the solve, and an oracle run
-    above the exact oracle's qubit limit raises OracleLimitError there too.
+    An unknown scheme, trials < 1, restarts other than 1 and a bfv run on
+    an instance that is not family-uniform raise ValueError before the
+    solve, and an oracle run above the exact oracle's qubit limit raises
+    OracleLimitError there too.
     """
     if scheme not in ("bfv", "axis"):
         raise ValueError(f"unknown rounding scheme {scheme!r}: expected 'bfv' or 'axis'")
@@ -143,7 +144,6 @@ def run_pipeline(
         certified_ratio=outcome.energy / sol.value if sol.value != 0 else 0.0,
         trials=trials,
         seed=seed,
-        restarts=sol.diagnostics.restarts,
         solver_converged=sol.diagnostics.converged,
         lambda_max=lam,
         oracle_method=method,
@@ -211,7 +211,6 @@ def _cmd_solve(args) -> int:
         "max_norm_deviation": feas.max_norm_deviation,
         "max_orthogonality_deviation": feas.max_orthogonality_deviation,
         "rank": diag.rank,
-        "restarts": diag.restarts,
         "sdp_upper_bound": diag.upper_bound,
         "sdp_value": sol.value,
         "total_sweeps": diag.total_sweeps,

@@ -13,12 +13,13 @@ Each SDP is solved as Y = U U^T with unit rows U (n, p), p = min(n,
 ceil(sqrt(2n)) + 1), above which the landscape has no spurious
 second-order points (Boumal, Voroninski & Bandeira 2016, arXiv:1606.04970).
 The blocks ascend in lock-step (_kernels.ascend) from unit rows drawn from
-rng_for(SolverConfig.seed, DOMAIN_SOLVER, attempt), by over-relaxed block
+rng_for(SolverConfig.seed, DOMAIN_SOLVER, 0), by over-relaxed block
 steps (_kernels.OVER_RELAX) that never lower the objective, with a plain
 block step before each bound evaluation. Their dual bound
 (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or not
 the ascent converged: "converged" means (bound - value) / max(1, |value|)
-<= GAP_TOLERANCE, and only an attempt capped at MAX_SWEEPS starts another.
+<= GAP_TOLERANCE. One ascent is run, since at rank p another random start
+has no better optimum to find; one capped at MAX_SWEEPS returns its bound.
 The output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded (n, 3, 3n)
 layout, so each triad is orthonormal by construction.
 """
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 
-# an attempt stops once its relative dual gap is at most GAP_TOLERANCE, or
+# the ascent stops once its relative dual gap is at most GAP_TOLERANCE, or
 # after MAX_SWEEPS sweeps
 GAP_TOLERANCE = 1e-7
 MAX_SWEEPS = 10000
@@ -61,24 +62,27 @@ MAX_SWEEPS = 10000
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The seed of the solver's one ascent."""
+
+    # kept for perfbench/test_checks.py, which passes 1; ROADMAP item 1 deletes it
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
+        if self.restarts != 1:
+            raise ValueError("the solver runs one ascent: restarts must be 1")
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    restarts: int  # attempts run
-    # sweeps over all attempts; a lock-step sweep counts once for all axes
+    # a lock-step sweep counts once for all axes
     total_sweeps: int
     converged: bool
-    capped: int
     # dual bound on the relaxation optimum at the returned vectors
     upper_bound: float
     rank: int  # p, the width of each axis's rows
+    # always 1; read by perfbench/spans.py, and ROADMAP item 1 deletes it
+    restarts: int = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +123,9 @@ def _axis_blocks(wc3: np.ndarray) -> tuple[list[int], list[int]]:
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
     """Lock-step rank-p ascent from random rows until the dual gap closes.
 
-    Attempts that stop at MAX_SWEEPS with the gap open are counted in
-    diagnostics.capped; the next attempt, up to cfg.restarts, starts afresh.
-    The best-valued attempt is returned with its own bound, which is valid
-    whether or not it converged. A capped solve logs a warning on the
-    "heisopt" logger. The K blocks' couplings come from
+    The ascent stops at MAX_SWEEPS if the gap is still open; it returns its
+    bound, which is valid whether or not it converged, and logs a warning
+    on the "heisopt" logger. The K blocks' couplings come from
     inst.incidence(keys), whose MemoryError refuses them, and the solution
     they lead to, before either is built if together they exceed the
     memory the kernel reports available.
@@ -137,35 +139,23 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
     A, classes = inst.incidence(keys, held=72 * n * n)
     p = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 
-    best = None
-    total = capped = 0
-    for a in range(cfg.restarts):
-        U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, a), (len(keys), n, p))
-        value = -np.inf
-        for sweeps in _kernels.ascend(U, classes, 2, MAX_SWEEPS):
-            new, bound = _kernels.rank_bound(U, A, mult, wsum)
-            if new < value - 1e-8 * (1.0 + abs(value)):
-                raise RuntimeError("sweep objective decreased; ascent invariant violated")
-            value = new
-            converged = (bound - value) / max(1.0, abs(value)) <= GAP_TOLERANCE
-            if converged:
-                break
-        total += sweeps
-        if best is None or value > best[1]:
-            best = (U, value, bound, converged)
+    U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, 0), (len(keys), n, p))
+    value = -np.inf
+    for sweeps in _kernels.ascend(U, classes, 2, MAX_SWEEPS):
+        new, bound = _kernels.rank_bound(U, A, mult, wsum)
+        if new < value - 1e-8 * (1.0 + abs(value)):
+            raise RuntimeError("sweep objective decreased; ascent invariant violated")
+        value = new
+        converged = (bound - value) / max(1.0, abs(value)) <= GAP_TOLERANCE
         if converged:
             break
-        capped += 1
-    U, value, bound, converged = best
-    if capped:
+    if not converged:
         log.warning(
-            "moment relaxation: %d of %d attempts stopped at max_sweeps=%d; "
-            "relative gap %.3g, tolerance %.3g",
-            capped, a + 1, MAX_SWEEPS,
-            (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
+            "moment relaxation: stopped at max_sweeps=%d; relative gap %.3g, tolerance %.3g",
+            MAX_SWEEPS, (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
         )
-    diag = SolveDiagnostics(restarts=a + 1, total_sweeps=total, converged=converged,
-                            capped=capped, upper_bound=bound + inst.offset, rank=p)
+    diag = SolveDiagnostics(total_sweeps=sweeps, converged=converged,
+                            upper_bound=bound + inst.offset, rank=p)
     # v_{i,k} = e_k (x) u_{k,i}; an axis with a zero column holds its block's first coordinate
     V = np.zeros((n, 3, 3 * n))
     for k, b in enumerate(block):

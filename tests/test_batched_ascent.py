@@ -262,6 +262,7 @@ def test_relaxation_matches_one_restart_loop(rng):
 
 
 def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
+    # the relaxation's one ascent, then each of the product search's restarts
     inst = Instance(
         n=4,
         edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.7, 1, 0, 1), Edge(2, 3, 0.4, 1, 1, 0),
@@ -269,17 +270,13 @@ def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
     )
     monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="heisopt"):
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=4))
+        sol = solve_moment_sdp(inst)
     d = sol.diagnostics
     assert not d.converged
-    assert d.capped == d.restarts == 4
-    assert d.total_sweeps == 4
+    assert d.total_sweeps == 1
     assert d.upper_bound > sol.value
     assert check_feasibility(sol).passed
-    assert any(
-        "moment relaxation: 4 of 4 attempts stopped at max_sweeps=1; relative gap" in r.getMessage()
-        for r in caplog.records
-    )
+    assert any("moment relaxation: stopped at max_sweeps=1; relative gap" in r.getMessage() for r in caplog.records)
 
     caplog.clear()
     monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
@@ -293,8 +290,8 @@ def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
 def test_converged_runs_report_no_cap(caplog):
     inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 1.0, 1, 1, 1)))
     with caplog.at_level(logging.WARNING, logger="heisopt"):
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=3))
-    assert sol.diagnostics.capped == 0
+        sol = solve_moment_sdp(inst)
+    assert sol.diagnostics.converged
     assert not caplog.records
 
 
@@ -309,11 +306,10 @@ def test_converged_runs_report_no_cap(caplog):
 )
 def test_skipped_qubits_stay_feasible(edges):
     inst = Instance(n=4, edges=edges)
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=3))
+    sol = solve_moment_sdp(inst, SolverConfig(seed=3))
     assert check_feasibility(sol).passed
     assert sol.diagnostics.converged
-    # qubit 3 has no coupling, so restart 0's random rows are never touched
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=3))
+    # qubit 3 has no coupling, so its random start rows are never touched
     keys, block, *_ = kernel_args(inst)
     assert block == [0, 1, 0]  # X and Z share a block
     start = unit_rows(rng_for(3, DOMAIN_SOLVER, 0), (len(keys), 4, sol.diagnostics.rank))

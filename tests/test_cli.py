@@ -57,7 +57,6 @@ def test_solve_then_round(tmp_path, cycle_file, capsys):
         "max_norm_deviation",
         "max_orthogonality_deviation",
         "rank",
-        "restarts",
         "sdp_upper_bound",
         "sdp_value",
         "total_sweeps",
@@ -121,7 +120,6 @@ def test_pipeline_report_fields(tmp_path, cycle_file):
         "true_ratio",
         "seed",
         "trials",
-        "restarts",
         "solver_converged",
     ):
         assert key in rep
@@ -351,7 +349,7 @@ def test_oracle_pipeline_runs_one_product_search(monkeypatch):
     )
     for seed in (0, 3):
         calls.clear()
-        report = cli.run_pipeline(inst, scheme="axis", trials=20, seed=seed, restarts=2, oracle=True)
+        report = cli.run_pipeline(inst, scheme="axis", trials=20, seed=seed, oracle=True)
         assert calls == ["heisopt.cli"]
         assert report.best_product_energy == oracle.best_product_state(inst, seed=seed).energy
 
@@ -375,6 +373,8 @@ def test_pipeline_refuses_bad_arguments_before_solving(monkeypatch):
         (xyz, dict(trials=0), "at least one trial"),
         (mixed, dict(scheme="axis", trials=-3), "at least one trial"),
         (mixed, dict(scheme="bfv"), "family-uniform"),
+        (xyz, dict(restarts=0), "one ascent"),
+        (xyz, dict(restarts=2), "one ascent"),
     ]
     for inst, kwargs, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -434,3 +434,22 @@ def test_bound_covers_optimum_of_unconverged_solve(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", str(inst), "--seed", "2", "--out", str(tmp_path / "g7.sol")]) == 0
     assert json.loads(capsys.readouterr().err)["sdp_upper_bound"] >= 22.5
+
+
+def test_capped_solve_warns_once_and_exits_3(tmp_path, cycle_file, monkeypatch, caplog, capsys):
+    import logging
+
+    from heisopt import moment_sdp
+
+    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
+    for cmd in ("solve", "pipeline"):
+        out = tmp_path / f"{cmd}.out"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="heisopt"):
+            assert main([cmd, cycle_file, "--out", str(out)]) == 3
+        assert [r.getMessage().split(";")[0] for r in caplog.records] == [
+            "moment relaxation: stopped at max_sweeps=1"
+        ]
+        assert out.stat().st_size > 0
+    assert json.loads(capsys.readouterr().err)["converged"] is False
+    assert json.loads(out.read_text())["solver_converged"] is False

@@ -22,8 +22,9 @@ from heisopt.moment_sdp import GAP_TOLERANCE
 
 def test_solver_config_validation():
     SolverConfig()
-    with pytest.raises(ValueError):
-        SolverConfig(restarts=0)
+    for restarts in (0, 2):
+        with pytest.raises(ValueError, match="one ascent"):
+            SolverConfig(restarts=restarts)
 
 
 def test_solver_refuses_blocks_too_large_for_memory(monkeypatch):
@@ -67,7 +68,7 @@ def test_solver_handles_instances_with_no_coupling(edges):
 
 def test_single_edge_f111_reaches_four():
     inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=3))
+    sol = solve_moment_sdp(inst)
     assert sol.value == pytest.approx(4.0, abs=1e-8)
     assert check_feasibility(sol).passed
 
@@ -75,7 +76,7 @@ def test_single_edge_f111_reaches_four():
 def test_solution_feasible_always(rng):
     for _ in range(20):
         inst = random_instance(rng)
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+        sol = solve_moment_sdp(inst)
         rep = check_feasibility(sol)
         assert rep.passed, (rep.max_norm_deviation, rep.max_orthogonality_deviation)
 
@@ -96,7 +97,7 @@ def test_feasibility_report_matches_pairwise_reference(rng):
 def test_value_matches_objective_of_vectors(rng):
     for _ in range(10):
         inst = random_instance(rng)
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+        sol = solve_moment_sdp(inst)
         assert sdp_objective(inst, sol) == pytest.approx(sol.value, abs=1e-9)
 
 
@@ -112,7 +113,7 @@ def test_sdp_dominates_best_product(rng):
     # the value does in practice; the bound does by construction
     for _ in range(15):
         inst = random_instance(rng)
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=1))
+        sol = solve_moment_sdp(inst)
         ps = best_product_state(inst)
         assert sol.value >= ps.energy - 1e-9
         assert sol.diagnostics.upper_bound >= ps.energy - 1e-9
@@ -124,7 +125,7 @@ def test_upper_bound_dominates_lambda_max_when_capped(rng, monkeypatch):
     for k in range(60):
         style = ("family", "corner", "arbitrary")[k % 3]
         inst = random_instance(rng, n=int(rng.integers(2, 9)), coeffs=style)
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=1, seed=k))
+        sol = solve_moment_sdp(inst, SolverConfig(seed=k))
         lam = exact_max_eigenvalue(inst).lambda_max
         assert sol.diagnostics.upper_bound >= lam - 1e-12 * (1.0 + abs(lam))
         assert sol.diagnostics.upper_bound >= sol.value - 1e-12 * (1.0 + abs(sol.value))
@@ -132,20 +133,18 @@ def test_upper_bound_dominates_lambda_max_when_capped(rng, monkeypatch):
 
 def test_diagnostics_populated():
     inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 1.0, 1, 1, 1)))
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=4, seed=11))
+    sol = solve_moment_sdp(inst, SolverConfig(seed=11))
     d = sol.diagnostics
-    # attempt 0 closes its gap, so no fallback attempt runs
     assert d.restarts == 1
     assert d.converged
-    assert d.capped == 0
     assert d.total_sweeps >= 1
     assert 0.0 <= d.upper_bound - sol.value <= GAP_TOLERANCE * max(1.0, abs(sol.value))
 
 
 def test_deterministic_given_seed():
     inst = Instance(n=4, edges=(Edge(0, 1, 1.0, 1, 0, 1), Edge(2, 3, 0.5, 1, 0, 1)))
-    s1 = solve_moment_sdp(inst, SolverConfig(restarts=3, seed=5))
-    s2 = solve_moment_sdp(inst, SolverConfig(restarts=3, seed=5))
+    s1 = solve_moment_sdp(inst, SolverConfig(seed=5))
+    s2 = solve_moment_sdp(inst, SolverConfig(seed=5))
     assert s1.value == s2.value
     assert np.array_equal(s1.vectors, s2.vectors)
 
@@ -153,14 +152,14 @@ def test_deterministic_given_seed():
 def test_offset_shifts_value():
     base = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),))
     shifted = Instance(n=2, edges=base.edges, offset=3.0)
-    v0 = solve_moment_sdp(base, SolverConfig(restarts=2)).value
-    v1 = solve_moment_sdp(shifted, SolverConfig(restarts=2)).value
+    v0 = solve_moment_sdp(base).value
+    v1 = solve_moment_sdp(shifted).value
     assert v1 == pytest.approx(v0 + 3.0, abs=1e-10)
 
 
 def test_serialization_round_trip(rng):
     inst = random_instance(rng, n=4)
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+    sol = solve_moment_sdp(inst)
     text = serialize_moment_solution(sol)
     back = parse_moment_solution(text)
     assert back.value == sol.value
@@ -183,7 +182,7 @@ def test_parse_rejects_malformed():
 
 def _edge_solution_rows():
     inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
-    text = serialize_moment_solution(solve_moment_sdp(inst, SolverConfig(restarts=1)))
+    text = serialize_moment_solution(solve_moment_sdp(inst))
     header, *rows = text.splitlines()
     return header, rows
 
@@ -240,7 +239,7 @@ def test_solve_runs_no_product_search(monkeypatch):
 
         monkeypatch.setattr(mod, "best_product_state", counting)
     inst = Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 0), Edge(1, 2, 1.0, 0, 1, 1)))
-    solve_moment_sdp(inst, SolverConfig(restarts=2, seed=7))
+    solve_moment_sdp(inst, SolverConfig(seed=7))
     assert calls == []
 
 

@@ -243,11 +243,14 @@ def test_constants_pinned():
 
 
 def test_import_leaves_scipy_out():
+    # nor the CLI and its imports: a fresh `import heisopt` is the set-up
+    # cost of every library caller
     root = os.path.dirname(os.path.dirname(heisopt.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    code = "import sys, heisopt; print('scipy' in sys.modules)"
+    names = ("scipy", "heisopt.cli", "argparse", "json")
+    code = f"import sys, heisopt; print([m for m in {names!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

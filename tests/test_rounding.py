@@ -144,7 +144,7 @@ def test_axis_antipodal_z_edge_deterministic():
 
 def test_outcome_invariants(rng):
     inst = random_instance(rng, n=5, coeffs="family")
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+    sol = solve_moment_sdp(inst)
     for rounder in (bfv_round, gw_axis_round):
         out = rounder(inst, sol, trials=30, seed=4)
         assert out.energy == max(out.per_trial_energies)
@@ -159,7 +159,7 @@ def test_outcome_invariants(rng):
 def test_rounded_energy_never_exceeds_lambda_max(rng):
     for _ in range(10):
         inst = random_instance(rng, n=int(rng.integers(2, 8)), coeffs="family")
-        sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+        sol = solve_moment_sdp(inst)
         lam = exact_max_eigenvalue(inst).lambda_max
         for rounder in (bfv_round, gw_axis_round):
             out = rounder(inst, sol, trials=25, seed=1)
@@ -168,7 +168,7 @@ def test_rounded_energy_never_exceeds_lambda_max(rng):
 
 def test_bloch_vector_structure(rng):
     inst = random_instance(rng, n=4, coeffs="family")
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+    sol = solve_moment_sdp(inst)
     from heisopt import is_family_uniform
 
     tag = is_family_uniform(inst)
@@ -194,7 +194,7 @@ def test_axis_rounding_mixed_signs_z_family(rng):
         n=3,
         edges=(Edge(0, 1, 1.0, 0, 0, 1), Edge(1, 2, 1.0, 0, 0, -1)),
     )
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=3))
+    sol = solve_moment_sdp(inst)
     out = gw_axis_round(inst, sol, trials=100, seed=0)
     assert np.all(out.state.bloch[:, :2] == 0.0)
     assert out.energy == pytest.approx(4.0, abs=1e-9)  # both edges satisfied
@@ -208,7 +208,7 @@ def test_bfv_rank1_matches_axis_signs(rng):
         n=inst.n,
         edges=tuple(Edge(e.i, e.j, e.w, 0.0, 0.0, 1.0) for e in inst.edges),
     )
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+    sol = solve_moment_sdp(inst)
     a = bfv_round(inst, sol, trials=40, seed=9)
     b = gw_axis_round(inst, sol, trials=40, seed=9)
     assert a.per_trial_energies == b.per_trial_energies
@@ -217,7 +217,7 @@ def test_bfv_rank1_matches_axis_signs(rng):
 
 def test_trials_deterministic_and_thread_invariant(rng):
     inst = random_instance(rng, n=5, coeffs="family")
-    sol = solve_moment_sdp(inst, SolverConfig(restarts=2))
+    sol = solve_moment_sdp(inst)
     for rounder in (bfv_round, gw_axis_round):
         o1 = rounder(inst, sol, trials=20, seed=7, threads=1)
         o2 = rounder(inst, sol, trials=20, seed=7, threads=4)
