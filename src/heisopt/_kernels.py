@@ -106,7 +106,7 @@ def colour_classes(n, ei, ej, wc):
 # beta u = 0, and its vector stays.
 
 
-def set_normalised(W, I, c, axis, theta=0.0):
+def set_normalised(W, I, c, axis, theta):
     """W[:, I] = c, over-relaxed by theta against W[:, I], scaled to unit norm along `axis`.
 
     A zero c keeps W's value. c, a fresh coupling from the class's matmul,
@@ -140,7 +140,7 @@ def set_normalised(W, I, c, axis, theta=0.0):
 # ascend runs both on one schedule. Its sweeps step past the block optimum,
 # over-relaxed by OVER_RELAX, which shortens the slow linear tail of the
 # plain ascent several-fold; every BOUND_EVERY-th sweep, and the one at
-# max_sweeps, is the plain block optimum, and the caller checks its stop rule
+# MAX_SWEEPS, is the plain block optimum, and the caller checks its stop rule
 # after it, at a point one exact sweep has settled. That plain sweep also
 # lets ZZ-only couplings, whose plain ascent lands on +-1 Bloch vectors in a
 # few sweeps, stop at the second check rather than keep moving.
@@ -155,18 +155,20 @@ def set_normalised(W, I, c, axis, theta=0.0):
 BOUND_EVERY = 10
 # theta of every sweep that ends at no check; 0 <= OVER_RELAX < 1
 OVER_RELAX = 0.65
+# the sweep cap of both ascents
+MAX_SWEEPS = 10000
 
 
-def ascend(X, classes, axis, max_sweeps):
+def ascend(X, classes, axis):
     """Ascend X in place on classes [(I, A[:, I])]; yield the sweep count after each plain sweep.
 
     X is the relaxation's U (K, n, p), normalised along axis 2, or the
     search's W (3, n, R), along axis 0. The plain sweeps are every
-    BOUND_EVERY-th and the last, at max_sweeps; the caller checks its stop
+    BOUND_EVERY-th and the last, at MAX_SWEEPS; the caller checks its stop
     rule at each yield and stops iterating once it holds.
     """
-    for sweeps in range(1, max_sweeps + 1):
-        plain = sweeps % BOUND_EVERY == 0 or sweeps == max_sweeps
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        plain = sweeps % BOUND_EVERY == 0 or sweeps == MAX_SWEEPS
         theta = 0.0 if plain else OVER_RELAX
         for I, AI in classes:
             set_normalised(X, I, AI @ X, axis, theta)

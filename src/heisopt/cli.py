@@ -15,7 +15,7 @@ Reports are JSON with sorted keys, no timestamps, and seeded randomness
 throughout, so identical invocations produce byte-identical files.
 Exit codes: 0 success, 2 parse/usage error (a solution whose header value
 is not its vectors' objective included), 3 solver non-convergence (the
-relaxation's dual gap still open at MAX_SWEEPS; report still written),
+relaxation's dual gap still open at _kernels.MAX_SWEEPS; report still written),
 4 oracle limit exceeded or instance too large for memory.
 """
 
@@ -254,7 +254,7 @@ def _cmd_exact(args) -> int:
         "label": inst.label,
         "lambda_max": exact.lambda_max,
         "method": exact.method,
-        "product_ratio": search.energy / exact.lambda_max if exact.lambda_max else None,
+        "product_ratio": search.energy / exact.lambda_max if exact.lambda_max > 0 else None,
         "residual": exact.residual,
         "restarts_used": search.restarts_used,
         "search_capped": search.capped,
@@ -312,11 +312,10 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK if report.solver_converged else EXIT_NONCONVERGED
 
 
-def _add_common(p, *, seed=True, out=True):
+def _add_common(p, *, seed=True):
     if seed:
         p.add_argument("--seed", type=int, default=None, help="PRNG seed (default: HEIS_DEFAULT_SEED or 0)")
-    if out:
-        p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
+    p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:

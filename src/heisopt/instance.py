@@ -281,74 +281,66 @@ def _weights(rng, m: int, weights: str) -> np.ndarray:
     raise ValueError(f"weights must be 'unit' or 'uniform', got {weights!r}")
 
 
+# Each kind's parameters besides family and weights (which every kind but
+# single_edge takes): the least value of each size, or None for the edge
+# probability p in [0, 1]. Sizes are integers, as Instance's n is.
+_PARAMS = {
+    "single_edge": {},
+    "complete": {"n": 2},
+    "cycle": {"n": 3},
+    "bipartite": {"n1": 1, "n2": 1},
+    "random_gnp": {"n": 2, "p": None},
+}
+
+
 def generate(kind: str, seed: int = 0, **params) -> Instance:
     """Deterministic instance source; pure function of (kind, params, seed).
 
     Kinds and their params:
       single_edge  family=(a,b,g); one unit-weight edge
-      complete     n, family, weights
+      complete     n >= 2, family, weights
       cycle        n >= 3, family, weights
-      bipartite    n1, n2, family, weights (complete bipartite)
-      random_gnp   n, p, family, weights
+      bipartite    n1, n2 >= 1, family, weights (complete bipartite)
+      random_gnp   n >= 2, p, family, weights
     """
     family = _coerce_family(params.pop("family", (1.0, 1.0, 1.0)))
+    weights = "unit" if kind == "single_edge" else params.pop("weights", "unit")
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown kind {kind!r}")
+    table = _PARAMS[kind]
+    extra = sorted(params.keys() - table.keys())
+    if extra:
+        raise ValueError(f"unexpected params for {kind}: {extra}")
+    for name, least in table.items():
+        if name not in params:
+            raise ValueError(f"{kind} needs the parameter {name!r}")
+        value = params[name]
+        if least is not None:
+            if not _is_index(value) or value < least:
+                raise ValueError(f"{kind} needs an integer {name} >= {least}, got {value!r}")
+            params[name] = operator.index(value)
+        elif not 0.0 <= float(value) <= 1.0:
+            raise ValueError(f"edge probability must be in [0, 1], got {value!r}")
     rng = rng_for(seed, DOMAIN_GENERATE, 0)
     if kind == "single_edge":
-        _reject_params(kind, params)
         return Instance(2, (Edge(0, 1, 1.0, *family),), label=f"single_edge-seed{seed}")
-    weights = params.pop("weights", "unit")
+    n = params["n1"] + params["n2"] if kind == "bipartite" else params["n"]
     if kind == "complete":
-        n = _need_n(kind, params)
-        _reject_params(kind, params)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     elif kind == "cycle":
-        n = _need_n(kind, params)
-        _reject_params(kind, params)
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
         pairs = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     elif kind == "bipartite":
-        n1 = int(_need(kind, params, "n1"))
-        n2 = int(_need(kind, params, "n2"))
-        _reject_params(kind, params)
-        if n1 < 1 or n2 < 1:
-            raise ValueError("bipartite needs n1, n2 >= 1")
-        n = n1 + n2
-        pairs = [(i, n1 + j) for i in range(n1) for j in range(n2)]
-    elif kind == "random_gnp":
-        n = _need_n(kind, params)
-        p = float(_need(kind, params, "p"))
-        _reject_params(kind, params)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        n1 = params["n1"]
+        pairs = [(i, n1 + j) for i in range(n1) for j in range(params["n2"])]
+    else:
         # one draw per row: the same doubles, in the same order, as one
         # scalar draw per pair
+        p = float(params["p"])
         pairs = [
             (i, i + 1 + j)
             for i in range(n)
             for j in np.flatnonzero(rng.random(n - 1 - i) < p).tolist()
         ]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     ws = _weights(rng, len(pairs), weights)
     edges = tuple(Edge(i, j, float(w), *family) for (i, j), w in zip(pairs, ws))
     return Instance(n, edges, label=f"{kind}-n{n}-seed{seed}")
-
-
-def _need(kind, params, name):
-    value = params.pop(name, None)
-    if value is None:
-        raise ValueError(f"{kind} needs the parameter {name!r}")
-    return value
-
-
-def _need_n(kind, params) -> int:
-    n = int(_need(kind, params, "n"))
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return n
-
-
-def _reject_params(kind, params):
-    if params:
-        raise ValueError(f"unexpected params for {kind}: {sorted(params)}")

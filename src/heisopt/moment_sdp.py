@@ -19,7 +19,8 @@ block step before each bound evaluation. Their dual bound
 (_kernels.rank_bound) caps the optimum, and so lambda_max, whether or not
 the ascent converged: "converged" means (bound - value) / max(1, |value|)
 <= GAP_TOLERANCE. One ascent is run, since at rank p another random start
-has no better optimum to find; one capped at MAX_SWEEPS returns its bound.
+has no better optimum to find; one capped at _kernels.MAX_SWEEPS returns
+its bound.
 The output writes v_{i,k} = e_k (x) u_{k,i} into the zero-padded (n, 3, 3n)
 layout, so each triad is orthonormal by construction.
 """
@@ -55,9 +56,8 @@ __all__ = [
 
 
 # the ascent stops once its relative dual gap is at most GAP_TOLERANCE, or
-# after MAX_SWEEPS sweeps
+# after _kernels.MAX_SWEEPS sweeps
 GAP_TOLERANCE = 1e-7
-MAX_SWEEPS = 10000
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ def _axis_blocks(wc3: np.ndarray) -> tuple[list[int], list[int]]:
 def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentSolution:
     """Lock-step rank-p ascent from random rows until the dual gap closes.
 
-    The ascent stops at MAX_SWEEPS if the gap is still open; it returns its
-    bound, which is valid whether or not it converged, and logs a warning
-    on the "heisopt" logger. The K blocks' couplings come from
-    inst.incidence(keys), whose MemoryError refuses them, and the solution
-    they lead to, before either is built if together they exceed the
-    memory the kernel reports available.
+    The ascent stops at _kernels.MAX_SWEEPS if the gap is still open; it
+    returns its bound, which is valid whether or not it converged, and logs
+    the relative gap in a warning on the "heisopt" logger. The K blocks'
+    couplings come from inst.incidence(keys), whose MemoryError refuses
+    them, and the solution they lead to, before either is built if together
+    they exceed the memory the kernel reports available.
     """
     cfg = cfg or SolverConfig()
     n = inst.n
@@ -141,18 +141,19 @@ def solve_moment_sdp(inst: Instance, cfg: SolverConfig | None = None) -> MomentS
 
     U = unit_rows(rng_for(cfg.seed, DOMAIN_SOLVER, 0), (len(keys), n, p))
     value = -np.inf
-    for sweeps in _kernels.ascend(U, classes, 2, MAX_SWEEPS):
+    for sweeps in _kernels.ascend(U, classes, 2):
         new, bound = _kernels.rank_bound(U, A, mult, wsum)
         if new < value - 1e-8 * (1.0 + abs(value)):
             raise RuntimeError("sweep objective decreased; ascent invariant violated")
         value = new
-        converged = (bound - value) / max(1.0, abs(value)) <= GAP_TOLERANCE
+        gap = (bound - value) / max(1.0, abs(value))
+        converged = gap <= GAP_TOLERANCE
         if converged:
             break
     if not converged:
         log.warning(
             "moment relaxation: stopped at max_sweeps=%d; relative gap %.3g, tolerance %.3g",
-            MAX_SWEEPS, (bound - value) / max(1.0, abs(value)), GAP_TOLERANCE,
+            sweeps, gap, GAP_TOLERANCE,
         )
     diag = SolveDiagnostics(total_sweeps=sweeps, converged=converged,
                             upper_bound=bound + inst.offset, rank=p)

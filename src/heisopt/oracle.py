@@ -70,9 +70,8 @@ _TOL = 1e-10
 _CHECK_EVERY = 5
 _ESTIMATE_MARGIN = 0.1
 # the product search stops once no restart gains this much between two
-# checks, or after this many sweeps
+# checks, or after _kernels.MAX_SWEEPS sweeps
 _ASCENT_TOL = 1e-12
-_MAX_SWEEPS = 10000
 
 
 class OracleLimitError(RuntimeError):
@@ -193,8 +192,8 @@ def best_product_state(
     normalized local field c_i = sum over edges at i of -w * coeffs *
     r_other, one colour class of qubits at a time (_kernels.ascend). All
     restarts sweep as one batch until no restart gains _ASCENT_TOL between
-    two checks, or at _MAX_SWEEPS. `sweeps` is restarts x batch sweeps and
-    `capped` counts the restarts whose last check still gained
+    two checks, or at _kernels.MAX_SWEEPS. `sweeps` is restarts x batch
+    sweeps and `capped` counts the restarts whose last check still gained
     _ASCENT_TOL; a cap also logs a warning on the "heisopt" logger.
     """
     if restarts < 1:
@@ -207,7 +206,7 @@ def best_product_state(
     for k in range(restarts):
         W[:, :, k] = unit_rows(at(k), (inst.n, 3)).T
     energy = np.full(restarts, -np.inf)
-    for sweeps in _kernels.ascend(W, classes, 0, _MAX_SWEEPS):
+    for sweeps in _kernels.ascend(W, classes, 0):
         new = inst.identity_coeff + 0.5 * np.einsum("knr,knr->r", W, A @ W)
         gained = new - energy >= _ASCENT_TOL
         energy = new
@@ -218,7 +217,7 @@ def best_product_state(
     if capped:
         log.warning(
             "product search: %d of %d restarts stopped at max_sweeps=%d",
-            capped, restarts, _MAX_SWEEPS,
+            capped, restarts, sweeps,
         )
     return ProductSearchResult(
         state=ProductState(bloch=W[:, :, best].T),

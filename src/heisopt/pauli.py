@@ -86,7 +86,7 @@ class DenseHermitian:
 
 @dataclass(frozen=True, eq=False)
 class ProductState:
-    """One Bloch vector per qubit; pure iff every norm is 1."""
+    """Finite Bloch vectors of norm <= 1, one per qubit; pure iff every norm is 1."""
 
     bloch: np.ndarray
 
@@ -95,9 +95,9 @@ class ProductState:
         object.__setattr__(self, "bloch", b)
         if b.ndim != 2 or b.shape[1] != 3:
             raise ValueError(f"expected shape (n, 3), got {b.shape}")
-        norms = np.linalg.norm(b, axis=1)
-        if norms.max(initial=0.0) > 1 + 1e-9:
-            raise ValueError("Bloch vectors must have norm <= 1")
+        # written so that a NaN norm fails it too
+        if not (np.linalg.norm(b, axis=1) <= 1 + 1e-9).all():
+            raise ValueError("Bloch vectors must be finite with norm <= 1")
 
     @property
     def n(self) -> int:

@@ -21,8 +21,8 @@ DOMAIN_ROUNDING), which is set to trial t's stream before each draw and
 fills the trial's slot of the block in place: building a Philox per trial
 cost more than the trial's projection and scoring together.
 A trial with a projection below 1e-300 in norm (for the axis scheme, a
-zero one) redraws: it rebuilds its own stream with rng_for and continues
-after its first draw. Both rounders refuse an infeasible point
+zero one) redraws: it sets the generator to its own stream again and
+continues after its first draw. Both rounders refuse an infeasible point
 (check_feasibility) before drawing anything.
 
 Trials run in blocks. A block stacks its trials' draws, projects them with
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import DOMAIN_ROUNDING, rng_for, trial_streams
+from ._backend import DOMAIN_ROUNDING, trial_streams
 from ._kernels import product_energy_kernel
 from .instance import Edge, FamilyTag, Instance, is_family_uniform
 from .moment_sdp import MomentSolution, axis_dots, check_feasibility
@@ -193,7 +193,7 @@ def _project(inst, sol, trials, seed, axes):
         # a qubit with a (numerically) zero projection: that trial redraws,
         # continuing its own stream after the draw the block used
         for k in np.flatnonzero((norms < 1e-300).any(axis=1)):
-            rng = rng_for(seed, DOMAIN_ROUNDING, t0 + int(k))
+            rng = at(t0 + int(k))
             rng.standard_normal(shape)
             while (norms[k] < 1e-300).any():
                 Y[k] = rng.standard_normal(shape) @ X.T

@@ -1,5 +1,7 @@
 """Counter-based RNG streams from heisopt._backend."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,22 @@ def test_trial_streams_match_rng_for_bitwise(seed, domain):
     assert np.array_equal(first, rng_for(seed, domain, 5).standard_normal((2, 240)))
     assert np.array_equal(other, rng_for(seed, domain, 9).standard_normal((2, 240)))
     assert np.array_equal(again, first)
+
+
+@pytest.mark.parametrize(
+    "meminfo, want",
+    [
+        ("MemTotal:       8000 kB\nMemAvailable:   2000 kB\n", 2000 * 1024),
+        ("MemTotal:       8000 kB\nMemFree:        1000 kB\n", None),  # no MemAvailable line
+        (None, None),  # the file cannot be read
+    ],
+)
+def test_available_bytes_reads_only_mem_available(monkeypatch, meminfo, want):
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/meminfo"
+        if meminfo is None:
+            raise OSError("no such file")
+        return io.StringIO(meminfo)
+
+    monkeypatch.setattr(_backend, "open", fake_open, raising=False)
+    assert _backend.available_bytes() == want

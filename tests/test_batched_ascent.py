@@ -25,7 +25,7 @@ from heisopt import (
     check_feasibility,
     solve_moment_sdp,
 )
-from heisopt import _kernels, moment_sdp, oracle
+from heisopt import _kernels
 from heisopt._backend import DOMAIN_PRODUCT_SEARCH, DOMAIN_SOLVER, rng_for, unit_rows
 from heisopt.moment_sdp import _axis_blocks
 
@@ -156,7 +156,7 @@ def test_product_search_matches_one_restart_loop(rng):
         A, classes = inst.incidence()
         wsum = inst.identity_coeff
         energy = np.full(restarts, -np.inf)
-        for sweeps in _kernels.ascend(W, classes, 0, 10000):
+        for sweeps in _kernels.ascend(W, classes, 0):
             new = wsum + 0.5 * np.einsum("knr,knr->r", W, A @ W)
             converged = new - energy < 1e-12
             energy = new
@@ -240,9 +240,10 @@ def test_zz_only_search_stops_at_its_second_check(rng):
         assert ps.capped == 0
 
 
-def test_relaxation_matches_one_restart_loop(rng):
-    # the driver sweeps to max_sweeps, like the reference, with no stop rule;
+def test_relaxation_matches_one_restart_loop(rng, monkeypatch):
+    # the driver sweeps to its cap, like the reference, with no stop rule;
     # the value is read at each plain sweep, as the solver reads it
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 25)
     for style in ("arbitrary", "family", "corner"):
         inst = random_instance(rng, n=int(rng.integers(3, 6)), coeffs=style)
         keys, block, A, classes, mult = kernel_args(inst)
@@ -251,7 +252,7 @@ def test_relaxation_matches_one_restart_loop(rng):
 
         wsum = inst.identity_coeff
         checks = [
-            (sweeps, *_kernels.rank_bound(U, A, mult, wsum)) for sweeps in _kernels.ascend(U, classes, 2, 25)
+            (sweeps, *_kernels.rank_bound(U, A, mult, wsum)) for sweeps in _kernels.ascend(U, classes, 2)
         ]
         sweeps, value, bound = checks[-1]
         assert sweeps == 25
@@ -268,7 +269,7 @@ def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
         edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 0.7, 1, 0, 1), Edge(2, 3, 0.4, 1, 1, 0),
                Edge(0, 3, 0.9, 0, 1, 1)),
     )
-    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="heisopt"):
         sol = solve_moment_sdp(inst)
     d = sol.diagnostics
@@ -279,7 +280,6 @@ def test_max_sweeps_caps_every_restart(caplog, monkeypatch):
     assert any("moment relaxation: stopped at max_sweeps=1; relative gap" in r.getMessage() for r in caplog.records)
 
     caplog.clear()
-    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="heisopt"):
         ps = best_product_state(inst, restarts=5)
     assert ps.capped == ps.restarts_used == 5
@@ -361,7 +361,8 @@ _STAR = Instance(
 )
 
 
-def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
+def test_zero_coupling_keeps_triad_in_that_restart_only(rng, monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 1)
     A, classes = _STAR.incidence()
     assert [I.tolist() for I, _ in classes] == [[0, 3], [1, 2]]
     keys, block, AK, rows, mult = kernel_args(_STAR)
@@ -371,7 +372,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
         if zero:
             U[1, 2] = -U[1, 1]  # block 1 (Y): qubit 0's coupling is zero
         start = U.copy()
-        assert list(_kernels.ascend(U, rows, 2, 1)) == [1]  # one plain sweep
+        assert list(_kernels.ascend(U, rows, 2)) == [1]  # one plain sweep
         # qubit 0 moves unless its coupling in that block is zero; block 0
         # and qubit 3, in its class, move
         assert np.array_equal(U[1, 0], start[1, 0]) == zero
@@ -382,7 +383,7 @@ def test_zero_coupling_keeps_triad_in_that_restart_only(rng):
     W = np.stack(product_starts(_STAR, 3, 5), axis=2).transpose(1, 0, 2).copy()
     W[:, 2, 1] = -W[:, 1, 1]  # restart 1: qubit 0's field is zero
     start = W.copy()
-    assert list(_kernels.ascend(W, classes, 0, 1)) == [1]
+    assert list(_kernels.ascend(W, classes, 0)) == [1]
     assert np.array_equal(W[:, 0, 1], start[:, 0, 1])
     for r, i in ((0, 0), (2, 0), (1, 3)):
         assert not np.array_equal(W[:, i, r], start[:, i, r])
@@ -440,7 +441,7 @@ def test_set_normalised_matches_plain_normalisation_bitwise(rng, shape, axis, ze
     c = rng.standard_normal(shape)
     want = W.copy()
     want[:, I] = c / np.sqrt((c * c).sum(axis, keepdims=True))
-    _kernels.set_normalised(W, I, c.copy(), axis)
+    _kernels.set_normalised(W, I, c.copy(), axis, 0.0)
     assert np.array_equal(W, want)
     # an exactly zero field keeps W's vector there, and only there
     c = rng.standard_normal(shape)
@@ -450,5 +451,5 @@ def test_set_normalised_matches_plain_normalisation_bitwise(rng, shape, axis, ze
     rows[zero] = W[:, I][zero]
     want = W.copy()
     want[:, I] = rows
-    _kernels.set_normalised(W, I, c, axis)
+    _kernels.set_normalised(W, I, c, axis, 0.0)
     assert np.array_equal(W, want)

@@ -85,7 +85,7 @@ def test_exact_subcommand(tmp_path, cycle_file):
 
 
 def test_exact_reports_whether_its_search_hit_the_cap(tmp_path, cycle_file, monkeypatch):
-    from heisopt import oracle
+    from heisopt import _kernels
 
     out = tmp_path / "exact.json"
     args = ["exact", cycle_file, "--restarts", "4", "--out", str(out)]
@@ -94,7 +94,7 @@ def test_exact_reports_whether_its_search_hit_the_cap(tmp_path, cycle_file, monk
     assert payload["search_capped"] == 0
     assert payload["search_sweeps"] > 0 and payload["search_sweeps"] % 4 == 0
     # one sweep per restart: every restart still gains at its only check
-    monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 1)
     assert main(args) == 0
     payload = json.loads(out.read_text())
     assert payload["search_capped"] == payload["restarts_used"] == 4
@@ -439,9 +439,9 @@ def test_bound_covers_optimum_of_unconverged_solve(tmp_path, capsys):
 def test_capped_solve_warns_once_and_exits_3(tmp_path, cycle_file, monkeypatch, caplog, capsys):
     import logging
 
-    from heisopt import moment_sdp
+    from heisopt import _kernels
 
-    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 1)
     for cmd in ("solve", "pipeline"):
         out = tmp_path / f"{cmd}.out"
         caplog.clear()
@@ -453,3 +453,45 @@ def test_capped_solve_warns_once_and_exits_3(tmp_path, cycle_file, monkeypatch, 
         assert out.stat().st_size > 0
     assert json.loads(capsys.readouterr().err)["converged"] is False
     assert json.loads(out.read_text())["solver_converged"] is False
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "exact", "pipeline"])
+def test_non_integer_default_seed_exits_2(monkeypatch, capsys, cycle_file, command):
+    monkeypatch.setenv("HEIS_DEFAULT_SEED", "4.5")
+    argv = ["gen", "cycle", "--n", "5"] if command == "gen" else [command, cycle_file]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: HEIS_DEFAULT_SEED is not an integer: '4.5'\n"
+
+
+def test_reduce_to_stdout_writes_its_metadata_to_stderr(tmp_path, capsys):
+    # a file instance already has diagonal coefficients: reduce prints it
+    # unchanged, with the identity unitary
+    src = tmp_path / "c8.txt"
+    assert main(["gen", "cycle", "--n", "8", "--family", "1", "1", "0", "--seed", "1", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["reduce", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert out == src.read_text()
+    assert json.loads(err) == {
+        "mode": "projection",
+        "offset": 0.0,
+        "unitary_imag": [[0.0, 0.0], [0.0, 0.0]],
+        "unitary_real": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    assert not list(tmp_path.glob("*.meta.json"))
+
+
+def test_exact_reports_product_ratio_by_the_pipeline_rule(tmp_path, monkeypatch):
+    # lambda_max = -6 < 0: neither heisopt exact nor the pipeline reports a ratio
+    from heisopt import Edge, Instance, cli
+
+    shifted = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 1),), offset=-10.0)
+    monkeypatch.setattr(cli, "parse_instance_file", lambda path: shifted)
+    out = tmp_path / "exact.json"
+    assert main(["exact", "unused.txt", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["lambda_max"] == pytest.approx(-6.0, abs=1e-12)
+    assert payload["product_ratio"] is None
+    assert cli.run_pipeline(shifted, scheme="axis", trials=5, oracle=True).product_ratio is None

@@ -242,3 +242,40 @@ def test_random_gnp_matches_one_draw_per_pair(n, p, seed, weights):
     assert got.edges == tuple(Edge(i, j, float(w), 1, 1, 1) for (i, j), w in zip(pairs, ws))
     if p in (0.0, 1.0):
         assert got.m == p * n * (n - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: parse_instance("2 x\n"), "line 1: header fields must be integers"),
+        (lambda: parse_instance("2 1\n0 1 1 0 0 1\n0 1 1 0 0 1\n"), "line 3: more than 1 edge lines"),
+        (lambda: parse_instance("2 1\n0 1 one 0 0 1\n"), "line 2: malformed numeric field"),
+        (lambda: parse_instance("2 1\n# c\n1 0 1 0 0 1\n"), r"line 3: edge endpoints must satisfy 0 <= i < j"),
+        (lambda: parse_instance("# only a comment\n\n"), "empty instance text"),
+        (lambda: parse_instance("2 1\n0 2 1 0 0 1\n"), r"edge \(0, 2\) out of range for n=2"),
+        (lambda: instance.FamilyTag(1, 2, 0), "beta must be 0 or 1, got 2"),
+        (lambda: instance.FamilyTag(0, 0, 0), "at least one axis must be active"),
+        (lambda: generate("complete", n=3, family=(1, 1)), "family must have 3 coefficients"),
+        (lambda: generate("complete", n=3, weights="heavy"), "weights must be 'unit' or 'uniform'"),
+        (lambda: generate("bipartite", n1=0, n2=2), "bipartite needs an integer n1 >= 1, got 0"),
+        (lambda: generate("random_gnp", n=5, p=1.5), r"edge probability must be in \[0, 1\], got 1.5"),
+        (lambda: generate("random_gnp", n=5, p=float("nan")), r"edge probability must be in \[0, 1\]"),
+        (lambda: generate("random_gnp", n=5), "random_gnp needs the parameter 'p'"),
+        (lambda: generate("complete", n=1), "complete needs an integer n >= 2, got 1"),
+        (lambda: generate("cycle", n=2), "cycle needs an integer n >= 3, got 2"),
+        # sizes are integers, as Instance's n is
+        (lambda: generate("cycle", n=5.7), "cycle needs an integer n >= 3, got 5.7"),
+        (lambda: generate("cycle", n="6"), "cycle needs an integer n >= 3, got '6'"),
+        (lambda: generate("complete", n=True), "complete needs an integer n >= 2, got True"),
+        (lambda: generate("bipartite", n1=2, n2=3.0), "bipartite needs an integer n2 >= 1, got 3.0"),
+        (lambda: generate("single_edge", weights="unit"), r"unexpected params for single_edge: \['weights'\]"),
+    ],
+)
+def test_instance_refusals_name_their_fault(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_generate_takes_numpy_integer_sizes():
+    assert generate("bipartite", n1=np.int64(2), n2=np.int32(3)) == generate("bipartite", n1=2, n2=3)
+    assert generate("random_gnp", n=np.int64(9), p=0.5, seed=4) == generate("random_gnp", n=9, p=0.5, seed=4)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_sdp_dominates_best_product(rng):
 
 def test_upper_bound_dominates_lambda_max_when_capped(rng, monkeypatch):
     # one sweep leaves the ascent far from the optimum; the bound still holds
-    monkeypatch.setattr(moment_sdp, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 1)
     for k in range(60):
         style = ("family", "corner", "arbitrary")[k % 3]
         inst = random_instance(rng, n=int(rng.integers(2, 9)), coeffs=style)
@@ -174,10 +176,10 @@ def test_serialization_round_trip(rng):
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
         parse_moment_solution("")
-    with pytest.raises(ValueError):
-        parse_moment_solution("1 2.0\n0 0 1 0 0\n")  # wrong arity row
-    with pytest.raises(ValueError):
-        parse_moment_solution("1 2.0\n0 5 1 0 0\n")  # axis out of range
+    # one vector row where n = 1 needs three; the row arity and index checks
+    # are reached by test_moment_sdp_refusals_name_their_fault
+    with pytest.raises(ValueError, match="expected 3 vector rows, found 1"):
+        parse_moment_solution("1 2.0\n0 0 1 0 0\n")
 
 
 def _edge_solution_rows():
@@ -295,7 +297,7 @@ def test_zero_coupling_axis_adds_nothing(rng, coeffs, monkeypatch):
             assert solve_moment_sdp(case, SolverConfig(seed=4)).diagnostics.converged
         with monkeypatch.context() as m:
             m.setattr(moment_sdp, "GAP_TOLERANCE", -np.inf)
-            m.setattr(moment_sdp, "MAX_SWEEPS", 25)
+            m.setattr(_kernels, "MAX_SWEEPS", 25)
             sol = solve_moment_sdp(inst, SolverConfig(seed=4))
             ref = solve_moment_sdp(one, SolverConfig(seed=4))
         assert sol.diagnostics.total_sweeps == ref.diagnostics.total_sweeps == 25
@@ -345,3 +347,31 @@ def test_upper_bound_dominates_lambda_max_on_mixed_instances(rng):
         lam = exact_max_eigenvalue(inst).lambda_max
         assert sol.diagnostics.converged
         assert sol.diagnostics.upper_bound >= lam - 1e-12 * (1.0 + abs(lam))
+
+
+def _falling_rank_bound():
+    """A rank_bound whose value falls by 1 at each check, with the gap left open."""
+    values = itertools.count(0.0, -1.0)
+    return lambda U, A, mult, wsum: (next(values), np.inf)
+
+
+_EDGE = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # three rows for n = 1, so that the row count passes and the row is read
+        (lambda mp: parse_moment_solution("1 0\n0 0 1 0\n0 1 0 1 0\n0 2 0 0 1\n"), ValueError,
+         "vector row has wrong arity"),
+        (lambda mp: parse_moment_solution("1 0\n0 0 1 0 0\n0 1 0 1 0\n0 3 0 0 1\n"), ValueError,
+         r"row index \(0, 3\) out of range"),
+        (lambda mp: parse_moment_solution("1 0\n-1 0 1 0 0\n0 1 0 1 0\n0 2 0 0 1\n"), ValueError,
+         r"row index \(-1, 0\) out of range"),
+        (lambda mp: (mp.setattr(_kernels, "rank_bound", _falling_rank_bound()), solve_moment_sdp(_EDGE)),
+         RuntimeError, "sweep objective decreased; ascent invariant violated"),
+    ],
+)
+def test_moment_sdp_refusals_name_their_fault(monkeypatch, call, error, match):
+    with pytest.raises(error, match=match):
+        call(monkeypatch)

@@ -294,3 +294,23 @@ def test_restarts_deterministic():
     assert a.energy == b.energy
     assert np.array_equal(a.state.bloch, b.state.bloch)
     assert a.restarts_used == 7
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda mp, inst: best_product_state(inst, restarts=0), ValueError, "need at least one restart"),
+        # a two-vector basis with one restart cannot reach the residual on a
+        # mixed instance, so Lanczos stops at its restart cap
+        (
+            lambda mp, inst: (mp.setattr(oracle, "_BASIS", 2), mp.setattr(oracle, "_MAX_RESTARTS", 1),
+                              exact_max_eigenvalue(inst)),
+            RuntimeError,
+            r"Lanczos did not reach residual 1e-10 x \(1 \+ \|lambda\|\) in 1 restarts of 2 vectors",
+        ),
+    ],
+)
+def test_oracle_refusals_name_their_fault(monkeypatch, call, error, match):
+    inst = random_instance(np.random.default_rng(7), n=5)
+    with pytest.raises(error, match=match):
+        call(monkeypatch, inst)

@@ -263,3 +263,34 @@ def test_reduce_instance_rejects_asymmetric_correlation():
     inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 0, 0, 0),))
     with pytest.raises(ValueError):
         reduce_instance(inst, term=term)
+
+
+_TWO = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: DenseHermitian(np.zeros((2, 4))), "expected a square matrix"),
+        (lambda: ProductState(np.zeros((2, 2))), r"expected shape \(n, 3\)"),
+        (lambda: ProductState([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), "norm <= 1"),
+        # a NaN norm compares False with every bound; inf is above it
+        (lambda: ProductState(np.full((2, 3), np.nan)), "finite with norm <= 1"),
+        (lambda: ProductState([[0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]), "finite with norm <= 1"),
+        (lambda: ProductState([[np.inf, 0.0, 0.0], [0.0, 0.0, 1.0]]), "finite with norm <= 1"),
+        (lambda: product_energy(_TWO, ProductState(np.zeros((3, 3)))), "state has 3 qubits, instance has 2"),
+        (lambda: fano_decompose(np.eye(2)), "expected a 4x4 matrix"),
+        (lambda: fano_decompose(np.triu(np.ones((4, 4)))), "not Hermitian within 1e-9"),
+        (lambda: SingleQubitUnitary(np.eye(3)), "expected 2x2"),
+        (lambda: su2_lift(2.0 * np.eye(3)), "not orthogonal"),
+        (lambda: su2_lift(-np.eye(3)), r"not special orthogonal \(det != 1\)"),
+        (lambda: reduce_instance(Instance(n=2, edges=())), "no edges to reduce"),
+        (
+            lambda: reduce_instance(Instance(n=3, edges=(Edge(0, 1, 1.0, 1, 1, 1), Edge(1, 2, 1.0, 1, 1, 0)))),
+            "different coefficient triples",
+        ),
+    ],
+)
+def test_pauli_refusals_name_their_fault(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -505,3 +505,15 @@ def test_per_trial_energies_held_as_one_array(rng):
     assert not e.flags.writeable
     assert isinstance(out.per_trial_energies, tuple)
     assert out.per_trial_energies == tuple(e.tolist())
+
+
+@pytest.mark.parametrize("rounder", [bfv_round, gw_axis_round])
+@pytest.mark.parametrize(
+    "n_sol, trials, match",
+    [(2, 0, "need at least one trial"), (2, -3, "need at least one trial"), (3, 5, "solution has n=3, instance has n=2")],
+)
+def test_rounding_refusals_name_their_fault(rounder, n_sol, trials, match):
+    # called directly: run_pipeline refuses a trial count below one before it solves
+    inst = Instance(n=2, edges=(Edge(0, 1, 1.0, 1, 1, 0),))
+    with pytest.raises(ValueError, match=match):
+        rounder(inst, antipodal_solution(n_sol), trials=trials)
